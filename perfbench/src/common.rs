@@ -39,8 +39,8 @@ pub const END_TO_END: &[(&str, &str)] = &[
     ("setup_s", "s"),
 ];
 
-/// Per-layer metrics (`--trace 1`): name and unit. A workload that does
-/// not call into a layer reports 0 for it.
+/// Per-layer metrics (`--trace 1`): name and unit. Each workload lists the
+/// ones it measures (its `LAYERS`); it reports 0 for the others.
 pub const PER_LAYER: &[(&str, &str)] = &[
     ("daggen.generate_s", "s"),
     ("sched.alloc_s", "s"),
@@ -135,30 +135,37 @@ pub struct Outcome {
 
 impl Outcome {
     /// Assembles the result for `trace` mode from a workload's values:
-    /// every catalogue metric of the mode, in catalogue order.
+    /// every catalogue metric of the mode, in catalogue order. `layers`
+    /// names the per-layer metrics the workload measures; any other
+    /// per-layer metric reads 0.
     ///
-    /// # Panics
-    /// Panics if an end-to-end metric is missing: every workload measures
-    /// all of them.
-    pub fn new(checks: &Checks, values: &Values, trace: bool) -> Self {
+    /// # Errors
+    /// When an end-to-end metric, or in `trace` mode a metric of `layers`,
+    /// is missing or not finite: the workload failed to measure it.
+    pub fn new(
+        checks: &Checks,
+        values: &Values,
+        trace: bool,
+        layers: &[&str],
+    ) -> Result<Self, String> {
         let catalogue = if trace { PER_LAYER } else { END_TO_END };
         let metrics = catalogue
             .iter()
             .map(|&(name, unit)| {
-                let value = match values.get(name) {
-                    Some(&v) => v,
-                    None if trace => 0.0,
-                    None => panic!("end-to-end metric `{name}` was not measured"),
+                let value = match values.get(name).copied().filter(|v| v.is_finite()) {
+                    Some(v) => v,
+                    None if trace && !layers.contains(&name) => 0.0,
+                    None => return Err(format!("metric `{name}` was not measured")),
                 };
-                (name.to_string(), value, unit.to_string())
+                Ok((name.to_string(), value, unit.to_string()))
             })
-            .collect();
-        Outcome {
+            .collect::<Result<_, String>>()?;
+        Ok(Outcome {
             correct: checks.failed == 0 && checks.attempted > 0,
             attempted: checks.attempted,
             failed: checks.failed,
             metrics,
-        }
+        })
     }
 
     /// The single-line JSON result.
@@ -166,7 +173,7 @@ impl Outcome {
         let mut metrics = serde::Value::table();
         for (name, value, unit) in &self.metrics {
             let mut m = serde::Value::table();
-            m.insert("value", &finite(*value)).insert("unit", unit);
+            m.insert("value", value).insert("unit", unit);
             metrics.insert(name, &m);
         }
         let mut t = serde::Value::table();
@@ -175,15 +182,6 @@ impl Outcome {
             .insert("failed", &self.failed)
             .insert("metrics", &metrics);
         serde_json::to_string(&t).expect("results always serialize")
-    }
-}
-
-/// JSON has no NaN or infinity; a ratio over nothing reads 0.
-fn finite(v: f64) -> f64 {
-    if v.is_finite() {
-        v
-    } else {
-        0.0
     }
 }
 
@@ -313,23 +311,22 @@ pub fn report_map_spans(
         ("delta", "sched.map_s.delta"),
         ("time-cost", "sched.map_s.time-cost"),
     ] {
-        let s = totals
-            .get(&format!("sched.map.{kind}"))
-            .map_or(0.0, |t| t.total_s);
+        let s = span_s(totals, &format!("sched.map.{kind}"));
         all += s;
         v.insert(metric, s / units);
     }
     v.insert("sched.map_s", all / units);
 }
 
-/// Span total of `name` in seconds (0 when absent).
+/// Span total of `name` in seconds. NaN when no such span was recorded,
+/// so a metric derived from it reads as unmeasured.
 pub fn span_s(totals: &BTreeMap<String, crate::trace::LayerTotals>, name: &str) -> f64 {
-    totals.get(name).map_or(0.0, |t| t.total_s)
+    totals.get(name).map_or(f64::NAN, |t| t.total_s)
 }
 
-/// Span count of `name` (0 when absent).
+/// Span count of `name`; NaN when absent, as for [`span_s`].
 pub fn span_count(totals: &BTreeMap<String, crate::trace::LayerTotals>, name: &str) -> f64 {
-    totals.get(name).map_or(0.0, |t| t.count as f64)
+    totals.get(name).map_or(f64::NAN, |t| t.count as f64)
 }
 
 /// Median of a setup closure's wall time over `reps` repetitions; returns

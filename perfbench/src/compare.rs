@@ -44,11 +44,18 @@ impl Verdict {
 
 /// Judges `head` against `base` for a metric where lower is better when
 /// `lower_is_better`, with regression bound `bound` (a share of the base
-/// median).
+/// median). Unless `spread_held`, a spread wider than the bound does not
+/// make the verdict unresolved and only the medians are judged.
 ///
 /// # Panics
 /// Panics if either side is empty.
-pub fn verdict(base: &[f64], head: &[f64], lower_is_better: bool, bound: f64) -> Verdict {
+pub fn verdict(
+    base: &[f64],
+    head: &[f64],
+    lower_is_better: bool,
+    bound: f64,
+    spread_held: bool,
+) -> Verdict {
     let sign = if lower_is_better { -1.0 } else { 1.0 };
     let better = |h: f64, b: f64| sign * (h - b) > 0.0;
     let (bq1, bmed, bq3) = quartiles(base);
@@ -62,7 +69,7 @@ pub fn verdict(base: &[f64], head: &[f64], lower_is_better: bool, bound: f64) ->
     if better(hmed, bmed) && wins * 10 >= pairs * 9 && (hmed - bmed).abs() > bq3 - bq1 {
         return Verdict::Improved;
     }
-    let noisy = relative_spread(base).max(relative_spread(head)) > bound;
+    let noisy = spread_held && relative_spread(base).max(relative_spread(head)) > bound;
     let all_better = head.iter().all(|&h| base.iter().all(|&b| better(h, b)));
     if noisy && !all_better {
         return Verdict::Unresolved;
@@ -182,7 +189,9 @@ pub fn report(benchmark: &str, base: &RunSet, head: &RunSet) -> Result<String, S
                 .zip(&h)
                 .filter(|&(&x, &y)| sign * (y - x) > 0.0)
                 .count();
-            let v = verdict(&b, &h, m.lower_is_better, m.bound);
+            // Set-up time is held by its median only: a run sets up a few
+            // times, so its spread follows the machine's drift.
+            let v = verdict(&b, &h, m.lower_is_better, m.bound, m.name != "setup_s");
             writeln!(
                 out,
                 "{:<16} {:<12} {:>2}/{:<2} {:>32} {:>32} {:>3}/{:<2}  {}",

@@ -29,10 +29,10 @@ pub const WORKLOADS: [&str; 3] = ["paper_campaign", "large_dag_sweep", "serve_mi
 
 /// Runs one workload and assembles its result line.
 pub fn run(opts: &Options) -> Result<Outcome, String> {
-    let (checks, mut values) = match opts.workload.as_str() {
-        "paper_campaign" => paper::run(opts)?,
-        "large_dag_sweep" => sweep::run(opts)?,
-        "serve_mixed" => serve::run(opts)?,
+    let (layers, (checks, mut values)) = match opts.workload.as_str() {
+        "paper_campaign" => (paper::LAYERS, paper::run(opts)?),
+        "large_dag_sweep" => (sweep::LAYERS, sweep::run(opts)?),
+        "serve_mixed" => (serve::LAYERS, serve::run(opts)?),
         other => {
             return Err(format!(
                 "unknown workload `{other}` (expected one of {})",
@@ -43,7 +43,7 @@ pub fn run(opts: &Options) -> Result<Outcome, String> {
     if !opts.trace {
         values.insert("peak_rss_mb", common::peak_rss_mb()?);
     }
-    Ok(Outcome::new(&checks, &values, opts.trace))
+    Outcome::new(&checks, &values, opts.trace, layers)
 }
 
 /// Writes a traced run's spans to `<out_root>/spans-<workload>-<seed>.json`.

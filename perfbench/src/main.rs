@@ -1,7 +1,7 @@
 //! The benchmark command.
 //!
 //! ```text
-//! perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1> [--scale full|smoke]
+//! perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
 //! perfbench compare <base-dir> <head-dir> [--benchmark BENCHMARK.json]
 //! perfbench digests
 //! ```
@@ -19,9 +19,9 @@ use rats_perfbench::{compare, expected, run, Options, Scale};
 const OUT_ROOT: &str = ".bench_build/perfbench";
 
 fn usage() -> String {
-    "usage: perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1> \
-     [--scale full|smoke]\n       perfbench compare <base-dir> <head-dir> \
-     [--benchmark BENCHMARK.json]\n       perfbench digests"
+    "usage: perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1>\n       \
+     perfbench compare <base-dir> <head-dir> [--benchmark BENCHMARK.json]\n       \
+     perfbench digests"
         .to_string()
 }
 
@@ -51,13 +51,6 @@ fn parse_run(args: &[String], out_root: PathBuf) -> Result<Options, String> {
                     "0" => false,
                     "1" => true,
                     _ => return Err(bad(&"expected 0 or 1")),
-                }
-            }
-            "--scale" => {
-                opts.scale = match value.as_str() {
-                    "full" => Scale::Full,
-                    "smoke" => Scale::Smoke,
-                    _ => return Err(bad(&"expected full or smoke")),
                 }
             }
             _ => return Err(format!("unknown flag {flag}\n{}", usage())),

@@ -54,6 +54,32 @@ const WARMUP: ShardSpec = ShardSpec {
 const SETUPS: usize = 3;
 /// Jobs per committed write batch in the shard executor.
 const WRITE_CHUNK: usize = 256;
+/// Per-layer metrics the traced run measures.
+pub const LAYERS: &[&str] = &[
+    "daggen.generate_s",
+    "sched.alloc_s",
+    "sched.alloc_calls",
+    "sched.map_s",
+    "sched.map_s.hcpa",
+    "sched.map_s.delta",
+    "sched.map_s.time-cost",
+    "sched.map_tasks",
+    "sched.estimates",
+    "sched.estimates_pruned",
+    "sched.redist_cache_lookups",
+    "sim.simulate_s",
+    "sim.calls",
+    "sim.tasks_per_s",
+    "sim.network_bytes",
+    "redist.flows_per_job",
+    "experiments.executor_idle_s",
+    "experiments.record_write_s",
+    "experiments.record_bytes",
+    "experiments.record_read_s",
+    "trace_wall_s",
+    "unattributed_s",
+    "trace_overhead_s",
+];
 
 /// The campaign the workload runs.
 pub fn spec(scale: Scale) -> ExperimentSpec {

@@ -28,6 +28,24 @@ use crate::trace::{self, Recorder};
 pub const VARIANTS: usize = 8;
 /// Set-up repetitions; `setup_s` is their median.
 const SETUPS: usize = 15;
+/// Per-layer metrics the traced run measures.
+pub const LAYERS: &[&str] = &[
+    "daggen.generate_s",
+    "sched.alloc_s",
+    "sched.alloc_calls",
+    "sched.map_s",
+    "sched.map_s.hcpa",
+    "sched.map_s.delta",
+    "sched.map_s.time-cost",
+    "sched.map_tasks",
+    "sched.estimates",
+    "sched.estimates_pruned",
+    "sched.redist_cache_hit_ratio",
+    "sched.redist_cache_lookups",
+    "trace_wall_s",
+    "unattributed_s",
+    "trace_overhead_s",
+];
 
 /// DAG set `variant`, generated with a span per DAG when traced.
 pub fn dags(variant: usize, scale: Scale, rec: Option<&Recorder>) -> Vec<TaskGraph> {

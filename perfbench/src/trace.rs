@@ -189,18 +189,15 @@ pub struct LayerTotals {
     pub count: u64,
     /// Summed duration in seconds.
     pub total_s: f64,
-    /// Summed self time in seconds.
-    pub self_s: f64,
 }
 
 /// Totals per span name.
 pub fn totals(spans: &[SpanRecord]) -> BTreeMap<String, LayerTotals> {
     let mut out: BTreeMap<String, LayerTotals> = BTreeMap::new();
-    for (s, own) in spans.iter().zip(self_times(spans)) {
+    for s in spans {
         let t = out.entry(s.name.clone()).or_default();
         t.count += 1;
         t.total_s += s.duration();
-        t.self_s += own;
     }
     out
 }

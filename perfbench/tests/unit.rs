@@ -1,15 +1,18 @@
 //! Unit tests of the benchmark's statistics, seed stream, digest, span
 //! accounting and compare verdicts, plus a smoke-scale run of every
-//! workload that checks the printed metrics against `BENCHMARK.json`.
+//! workload that checks the printed metrics against `BENCHMARK.json`. A
+//! traced run fails when its workload leaves one of its `LAYERS`
+//! unmeasured, so the smoke run also checks those.
 
 use std::time::Duration;
 
+use rats_perfbench::common::{Checks, Values};
 use rats_perfbench::compare::{verdict, Verdict};
 use rats_perfbench::stats::{
     digest, median, percentile, quartiles, relative_spread, reportable_percentile, SeedStream,
 };
 use rats_perfbench::trace::{self, Recorder, SpanRecord};
-use rats_perfbench::{run, Options, Scale, WORKLOADS};
+use rats_perfbench::{run, Options, Outcome, Scale, WORKLOADS};
 
 #[test]
 fn reportable_percentile_leaves_ten_samples_beyond_it() {
@@ -121,14 +124,35 @@ fn verdicts_follow_bounds_and_the_pairs_rule() {
         100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 100.2, 99.8, 100.1, 99.9,
     ];
     let same = base.map(|x| x + 0.05);
-    assert_eq!(verdict(&base, &same, true, 0.1), Verdict::Unchanged);
+    assert_eq!(verdict(&base, &same, true, 0.1, true), Verdict::Unchanged);
     let faster = base.map(|x| x * 0.8);
-    assert_eq!(verdict(&base, &faster, true, 0.1), Verdict::Improved);
-    assert_eq!(verdict(&base, &faster, false, 0.1), Verdict::Regressed);
+    assert_eq!(verdict(&base, &faster, true, 0.1, true), Verdict::Improved);
+    assert_eq!(verdict(&base, &faster, false, 0.1, true), Verdict::Regressed);
     let noisy = [
         50.0, 150.0, 60.0, 140.0, 100.0, 70.0, 130.0, 90.0, 110.0, 100.0,
     ];
-    assert_eq!(verdict(&base, &noisy, true, 0.1), Verdict::Unresolved);
+    assert_eq!(verdict(&base, &noisy, true, 0.1, true), Verdict::Unresolved);
+    // Judged by the medians alone.
+    assert_eq!(verdict(&base, &noisy, true, 0.1, false), Verdict::Unchanged);
+}
+
+#[test]
+fn outcome_rejects_a_layer_the_workload_left_unmeasured() {
+    let checks = Checks {
+        attempted: 1,
+        failed: 0,
+    };
+    let mut values = Values::new();
+    values.insert("sim.simulate_s", 0.5);
+    let outcome = Outcome::new(&checks, &values, true, &["sim.simulate_s"]).unwrap();
+    let read = |name: &str| outcome.metrics.iter().find(|m| m.0 == name).unwrap().1;
+    assert_eq!(read("sim.simulate_s"), 0.5);
+    // Outside the workload's layers, a metric reads 0.
+    assert_eq!(read("sched.alloc_s"), 0.0);
+    assert!(Outcome::new(&checks, &values, true, &["sched.alloc_s"]).is_err());
+    values.insert("sched.alloc_s", f64::NAN);
+    assert!(Outcome::new(&checks, &values, true, &["sched.alloc_s"]).is_err());
+    assert!(Outcome::new(&checks, &values, false, &[]).is_err());
 }
 
 /// Every metric named in `BENCHMARK.json` for the mode, with its unit.
