@@ -23,9 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use rats_daggen::suite::Scenario;
-use rats_experiments::shard::{
-    read_shard_file, run_shard_journaled, run_shard_with_scenarios, shard_file_name,
-};
+use rats_experiments::shard::{read_shard_file, run_shard_hooked, shard_file_name, ShardHooks};
 use rats_experiments::spec::ExperimentSpec;
 use rats_journal::{Event, Journal};
 
@@ -272,12 +270,15 @@ fn execute_lease(
                 }
             }
         });
-        let run = run_shard_journaled(
+        let run = run_shard_hooked(
             &shard_spec,
             my_dir,
             Some(cfg.threads),
-            Some(scenarios),
-            Some(&mut *journal),
+            ShardHooks {
+                scenarios: Some(scenarios),
+                journal: Some(&mut *journal),
+                ..ShardHooks::default()
+            },
         );
         stop.store(true, Ordering::Relaxed);
         run
@@ -373,13 +374,17 @@ fn inject_chaos(
 ) -> Result<(), DispatchError> {
     let mut shard_spec = spec.clone();
     shard_spec.shard = Some(lease.shard());
+    let hooks = || ShardHooks {
+        scenarios: Some(scenarios),
+        ..ShardHooks::default()
+    };
     match phase {
         ChaosPhase::Claim => {}
         ChaosPhase::Manifest => {
             // Run the real executor far enough to commit the manifest, then
             // strip the records: the on-disk state is exactly "died between
             // manifest write and first record".
-            run_shard_with_scenarios(&shard_spec, my_dir, Some(threads), Some(scenarios))?;
+            run_shard_hooked(&shard_spec, my_dir, Some(threads), hooks())?;
             let path = my_dir.join(shard_file_name(&shard_spec));
             let text = fs::read_to_string(&path)?;
             let manifest_line = text.lines().next().unwrap_or_default();
@@ -387,7 +392,7 @@ fn inject_chaos(
         }
         ChaosPhase::Partial => {
             // Commit roughly half the records and tear the next line.
-            run_shard_with_scenarios(&shard_spec, my_dir, Some(threads), Some(scenarios))?;
+            run_shard_hooked(&shard_spec, my_dir, Some(threads), hooks())?;
             let path = my_dir.join(shard_file_name(&shard_spec));
             let text = fs::read_to_string(&path)?;
             let lines: Vec<&str> = text.lines().collect();

@@ -1,12 +1,26 @@
-//! Campaign execution: schedule + simulate every scenario under every
-//! mapping strategy, sharing the HCPA allocation (step one) per scenario.
+//! Campaign execution: the one job loop behind in-process runs, shard
+//! workers and the server, and the one fold from records to results. Every
+//! mapping strategy shares the HCPA allocation (step one) per scenario and
+//! cluster, as in the paper.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::time::Instant;
 
 use rats_daggen::suite::{AppFamily, Scenario};
+use rats_journal::Event;
 use rats_platform::Platform;
 use rats_sched::{allocate, AllocParams, Allocation, MappingStrategy, Scheduler};
 use rats_sim::simulate;
 
-use crate::runner::parallel_map;
+use crate::grid::{JobCoords, JobId};
+use crate::record::RunRecord;
+use crate::runner::{parallel_map, parallel_map_pooled};
+use crate::shard::ShardHooks;
+use crate::spec::{ClusterResults, ExperimentSpec, SpecError, SpecOutcome};
+
+/// Number of jobs evaluated between commits — the upper bound on work a
+/// crash can lose per cluster batch.
+const WRITE_CHUNK: usize = 256;
 
 /// The base seed of the reproduction campaign (any change regenerates a new
 /// random population with the same statistics).
@@ -83,51 +97,187 @@ impl PreparedScenario {
 
     /// Maps (step two) with `strategy` and simulates; returns the result.
     pub fn evaluate(&self, platform: &Platform, strategy: MappingStrategy) -> RunResult {
-        let schedule = Scheduler::new(platform)
-            .strategy(strategy)
-            .schedule_with_allocation(&self.scenario.dag, &self.alloc);
-        let outcome = simulate(&self.scenario.dag, &schedule, platform);
-        RunResult {
-            scenario_id: self.scenario.id,
-            family: self.scenario.family,
-            makespan: outcome.makespan,
-            work: outcome.total_work,
-        }
+        evaluate(&self.scenario, &self.alloc, platform, strategy)
     }
 }
 
-/// Evaluates each strategy over every prepared scenario — the one executor
-/// behind campaigns, tuning sweeps and shard workers. Returns per-strategy
-/// result vectors in scenario order (strategy-major, matching the job
-/// grid's strategy axis).
-pub fn evaluate_strategies(
-    prepared: &[PreparedScenario],
+/// One campaign job: maps `scenario` (step two) with `strategy` on top of
+/// its step-one `alloc`, then simulates the schedule.
+fn evaluate(
+    scenario: &Scenario,
+    alloc: &Allocation,
     platform: &Platform,
-    strategies: &[MappingStrategy],
-    threads: usize,
-) -> Vec<Vec<RunResult>> {
-    strategies
-        .iter()
-        .map(|&strategy| parallel_map(prepared, threads, |_, p| p.evaluate(platform, strategy)))
-        .collect()
+    strategy: MappingStrategy,
+) -> RunResult {
+    let schedule = Scheduler::new(platform)
+        .strategy(strategy)
+        .schedule_with_allocation(&scenario.dag, alloc);
+    let outcome = simulate(&scenario.dag, &schedule, platform);
+    RunResult {
+        scenario_id: scenario.id,
+        family: scenario.family,
+        makespan: outcome.makespan,
+        work: outcome.total_work,
+    }
 }
 
-/// Runs every strategy over every prepared scenario; returns one
-/// [`AlgoResults`] per strategy, scenario-aligned.
-pub fn run_campaign(
-    prepared: &[PreparedScenario],
-    platform: &Platform,
-    strategies: &[MappingStrategy],
+/// The job loop behind [`ExperimentSpec::run`] and
+/// [`run_shard_hooked`](crate::shard::run_shard_hooked): evaluates `jobs`
+/// (ascending ids of the spec's grid) cluster by cluster and hands each
+/// batch of at most [`WRITE_CHUNK`] records, in job order, to `commit`.
+///
+/// Per cluster, step one runs once for every scenario the jobs touch —
+/// taken from `hooks.allocs` when it holds the allocation (a pure function
+/// of DAG and platform, so a hit is bit-identical to recomputation),
+/// computed and published otherwise. The population is `hooks.scenarios`,
+/// or generated from the spec once a cluster has jobs. After a batch
+/// commits, its records go to `hooks.on_record`, and one clock reading
+/// feeds both the journal's `chunk-done` event and the chunk histogram.
+/// Returns `true` when `hooks.cancel` stopped the loop early.
+pub(crate) fn run_jobs<E: From<SpecError>>(
+    spec: &ExperimentSpec,
+    jobs: &[JobId],
     threads: usize,
-) -> Vec<AlgoResults> {
-    strategies
+    hooks: &mut ShardHooks<'_>,
+    mut commit: impl FnMut(&[RunRecord]) -> Result<(), E>,
+) -> Result<bool, E> {
+    let grid = spec.grid();
+    let strategies: Vec<MappingStrategy> = spec
+        .strategies
         .iter()
-        .zip(evaluate_strategies(prepared, platform, strategies, threads))
-        .map(|(strategy, runs)| AlgoResults {
-            name: strategy.name().to_string(),
-            runs,
-        })
-        .collect()
+        .map(|s| s.to_strategy().map_err(SpecError::Strategy))
+        .collect::<Result<_, _>>()?;
+    let shard = spec.shard.unwrap_or_default().index as u64;
+    let cancel = hooks.cancel;
+    let cancelled = || cancel.is_some_and(|c| c.load(std::sync::atomic::Ordering::Relaxed));
+    let mut generated: Option<Vec<Scenario>> = None;
+    for (ci, cluster) in spec.clusters.iter().enumerate() {
+        if cancelled() {
+            return Ok(true);
+        }
+        let cluster_jobs: Vec<JobId> = jobs
+            .iter()
+            .copied()
+            .filter(|&j| grid.coords(j).cluster == ci)
+            .collect();
+        if cluster_jobs.is_empty() {
+            continue;
+        }
+        let scenarios: &[Scenario] = match hooks.scenarios {
+            Some(provided) => provided,
+            None => generated.get_or_insert_with(|| spec.scenarios()),
+        };
+        assert_eq!(
+            scenarios.len(),
+            grid.scenarios(),
+            "suite size constants out of sync with the generators"
+        );
+        let platform = Platform::from_spec(&spec.cluster_spec(cluster)?);
+        let needed: BTreeSet<usize> = cluster_jobs
+            .iter()
+            .map(|&j| grid.coords(j).scenario)
+            .collect();
+        let mut allocs: BTreeMap<usize, Allocation> = BTreeMap::new();
+        let mut misses: Vec<&Scenario> = Vec::new();
+        for &n in &needed {
+            match hooks.allocs.and_then(|src| src.lookup(cluster, n)) {
+                Some(alloc) => {
+                    allocs.insert(n, alloc);
+                }
+                None => misses.push(&scenarios[n]),
+            }
+        }
+        let computed = parallel_map_pooled(hooks.pool, &misses, threads, |_, s| {
+            let _span = rats_telemetry::span(&rats_sched::telemetry::ALLOC_SECONDS);
+            allocate(&s.dag, &platform, AllocParams::default())
+        });
+        for (s, alloc) in misses.iter().zip(computed) {
+            if let Some(src) = hooks.allocs {
+                src.publish(cluster, s.id, &alloc);
+            }
+            allocs.insert(s.id, alloc);
+        }
+        for chunk in cluster_jobs.chunks(WRITE_CHUNK) {
+            if cancelled() {
+                return Ok(true);
+            }
+            let started = Instant::now();
+            let results = parallel_map_pooled(hooks.pool, chunk, threads, |_, &job| {
+                let c = grid.coords(job);
+                evaluate(
+                    &scenarios[c.scenario],
+                    &allocs[&c.scenario],
+                    &platform,
+                    strategies[c.strategy],
+                )
+            });
+            let records: Vec<RunRecord> = chunk
+                .iter()
+                .zip(&results)
+                .map(|(&job, result)| {
+                    let strategy = spec.strategies[grid.coords(job).strategy].clone();
+                    RunRecord::new(job.0, cluster, strategy, spec.seed, result)
+                })
+                .collect();
+            commit(&records)?;
+            if let Some(cb) = hooks.on_record.as_deref_mut() {
+                records.iter().for_each(cb);
+            }
+            let elapsed = started.elapsed();
+            if let Some(j) = hooks.journal.as_deref_mut() {
+                j.emit(Event::ChunkDone {
+                    job: shard,
+                    jobs: chunk.len() as u64,
+                    elapsed_ms: elapsed.as_millis() as u64,
+                });
+            }
+            crate::telemetry::RECORDS.add(chunk.len() as u64);
+            if rats_telemetry::enabled() {
+                crate::telemetry::CHUNK_SECONDS.observe(elapsed.as_secs_f64());
+            }
+        }
+    }
+    Ok(false)
+}
+
+/// Folds the records of a whole grid — one per job, in job-id order —
+/// into per-cluster, per-strategy, scenario-aligned results: the one
+/// assembly behind [`ExperimentSpec::run`] and
+/// [`merge_shards`](crate::shard::merge_shards).
+pub(crate) fn fold_records(
+    spec: ExperimentSpec,
+    records: &[RunRecord],
+) -> Result<SpecOutcome, SpecError> {
+    let grid = spec.grid();
+    let mut clusters = Vec::with_capacity(spec.clusters.len());
+    for (ci, cluster) in spec.clusters.iter().enumerate() {
+        let mut results = Vec::with_capacity(spec.strategies.len());
+        for (si, strategy) in spec.strategies.iter().enumerate() {
+            let runs = (0..grid.scenarios())
+                .map(|scenario| {
+                    let job = grid.id(JobCoords {
+                        cluster: ci,
+                        scenario,
+                        strategy: si,
+                    });
+                    records[job.0 as usize].result()
+                })
+                .collect();
+            results.push(AlgoResults {
+                name: strategy
+                    .to_strategy()
+                    .map_err(SpecError::Strategy)?
+                    .name()
+                    .to_string(),
+                runs,
+            });
+        }
+        clusters.push(ClusterResults {
+            cluster: cluster.clone(),
+            results,
+        });
+    }
+    Ok(SpecOutcome { spec, clusters })
 }
 
 /// The paper's three compared algorithms with *naive* RATS parameters
@@ -143,38 +293,22 @@ pub fn naive_strategies() -> Vec<MappingStrategy> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use rats_daggen::suite::mini_suite;
-    use rats_model::CostParams;
-    use rats_platform::ClusterSpec;
+    use crate::spec::{ExperimentSpec, SuiteSpec};
 
     #[test]
     fn campaign_runs_all_strategies_aligned() {
-        let platform = Platform::from_spec(&ClusterSpec::chti());
-        let prepared = PreparedScenario::prepare(mini_suite(&CostParams::tiny(), 1), &platform, 2);
-        let results = run_campaign(&prepared, &platform, &naive_strategies(), 2);
+        let mut spec = ExperimentSpec::naive("aligned", "chti", SuiteSpec::Mini, 1);
+        spec.threads = Some(2);
+        let outcome = spec.run().unwrap();
+        let results = &outcome.clusters[0].results;
         assert_eq!(results.len(), 3);
         assert_eq!(results[0].name, "HCPA");
-        for algo in &results {
-            assert_eq!(algo.runs.len(), prepared.len());
+        for algo in results {
+            assert_eq!(algo.runs.len(), SuiteSpec::Mini.len());
             for (i, r) in algo.runs.iter().enumerate() {
-                assert_eq!(r.scenario_id, prepared[i].scenario.id);
+                assert_eq!(r.scenario_id, i);
                 assert!(r.makespan > 0.0);
                 assert!(r.work > 0.0);
-            }
-        }
-    }
-
-    #[test]
-    fn campaign_is_deterministic() {
-        let platform = Platform::from_spec(&ClusterSpec::chti());
-        let prepared = PreparedScenario::prepare(mini_suite(&CostParams::tiny(), 2), &platform, 2);
-        let a = run_campaign(&prepared, &platform, &naive_strategies(), 2);
-        let b = run_campaign(&prepared, &platform, &naive_strategies(), 1);
-        for (x, y) in a.iter().zip(&b) {
-            for (rx, ry) in x.runs.iter().zip(&y.runs) {
-                assert_eq!(rx.makespan, ry.makespan);
-                assert_eq!(rx.work, ry.work);
             }
         }
     }

@@ -1,10 +1,11 @@
 //! The paper's evaluation campaign (section IV), as a library plus one
 //! binary per table/figure.
 //!
-//! * [`campaign`] — run HCPA and both RATS variants over scenario suites on
-//!   the three Grid'5000 clusters, with per-scenario allocation sharing
-//!   (all mapping strategies consume the *same* HCPA step-one output, as in
-//!   the paper) and simulated-makespan evaluation;
+//! * [`campaign`] — the one job loop behind in-process, sharded and served
+//!   runs: HCPA and both RATS variants over scenario suites on the three
+//!   Grid'5000 clusters, with per-scenario allocation sharing (all mapping
+//!   strategies consume the *same* HCPA step-one output, as in the paper)
+//!   and simulated-makespan evaluation;
 //! * [`stats`] — relative makespan/work series (Figures 2/3/6/7), pairwise
 //!   better/equal/worse counts (Table V) and degradation-from-best
 //!   (Table VI);
@@ -42,16 +43,13 @@ pub mod stats;
 pub mod telemetry;
 pub mod tuning;
 
-pub use campaign::{
-    evaluate_strategies, run_campaign, AlgoResults, PreparedScenario, RunResult, BASE_SEED,
-};
+pub use campaign::{AlgoResults, PreparedScenario, RunResult, BASE_SEED};
 pub use grid::{JobCoords, JobGrid, JobId, ShardSpec};
 pub use record::RunRecord;
 pub use runner::{parallel_map, parallel_map_pooled, ParallelExec};
 pub use shard::{
     collect_shard_files, merge_shards, read_shard_file, run_shard, run_shard_hooked,
-    run_shard_journaled, run_shard_with_scenarios, shard_file_name, AllocSource, MergeError,
-    ShardError, ShardHooks, ShardManifest, ShardRun,
+    shard_file_name, AllocSource, MergeError, ShardError, ShardHooks, ShardManifest, ShardRun,
 };
 pub use spec::{ExperimentSpec, SpecError, SpecOutcome, StrategySpec, SuiteSpec, SUITE_NAMES};
 pub use stats::{degradation_from_best, pairwise, summarize, Degradation, PairwiseCount};

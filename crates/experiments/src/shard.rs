@@ -30,19 +30,14 @@ use std::path::{Path, PathBuf};
 
 use rats_daggen::suite::Scenario;
 use rats_journal::{Event, Journal};
-use rats_platform::Platform;
-use rats_sched::{allocate, AllocParams, Allocation, MappingStrategy};
+use rats_sched::Allocation;
 use serde::{Deserialize, Serialize, Value};
 
-use crate::campaign::{AlgoResults, PreparedScenario};
+use crate::campaign::{fold_records, run_jobs};
 use crate::grid::{JobId, ShardSpec};
 use crate::record::RunRecord;
-use crate::runner::{default_threads, parallel_map_pooled, ParallelExec};
-use crate::spec::{ClusterResults, ExperimentSpec, SpecError, SpecOutcome};
-
-/// Number of jobs evaluated between appends — the upper bound on work a
-/// crash can lose per cluster batch.
-const WRITE_CHUNK: usize = 256;
+use crate::runner::{default_threads, ParallelExec};
+use crate::spec::{ExperimentSpec, SpecError, SpecOutcome};
 
 /// Current shard-file format version.
 const FORMAT: u64 = 1;
@@ -134,15 +129,28 @@ pub trait AllocSource: Sync {
     fn publish(&self, cluster: &str, scenario: usize, alloc: &Allocation);
 }
 
-/// Optional extension points for [`run_shard_hooked`]. `Default` is the
-/// plain batch behaviour ([`run_shard_journaled`] passes it).
+/// Optional extension points for [`run_shard_hooked`] — and the options of
+/// the job loop behind it and [`ExperimentSpec::run`]. `Default` is the
+/// plain batch behaviour ([`run_shard`] passes it).
 #[derive(Default)]
 pub struct ShardHooks<'a> {
-    /// Called once per record, immediately after its line (and trailing
-    /// newline) is appended to the shard file — the streaming hook a
-    /// server uses to push results to a client as they land. Records
-    /// arrive in job-id order within the run; resumed (skipped) jobs are
-    /// not replayed through this hook.
+    /// The spec's scenario population, exactly what
+    /// [`ExperimentSpec::scenarios`] would generate (same suite, same seed
+    /// — ids dense and in order). Dispatch workers and the server pass a
+    /// population loaded from a shared cache so one generation serves many
+    /// runs; `None` generates it locally, and only if a job needs it.
+    pub scenarios: Option<&'a [Scenario]>,
+    /// Campaign journal: the run emits `job-started` on entry (after
+    /// resume bookkeeping, so `skipped` is the resumed count), `chunk-done`
+    /// after each committed write batch, and `job-finished` with the
+    /// wall-clock total — the timing events `campaign status` turns into
+    /// ETA and throughput. Journaling is provenance, not control flow, and
+    /// never fails the shard.
+    pub journal: Option<&'a mut Journal>,
+    /// Called once per record after its write batch is appended to the
+    /// shard file — the streaming hook a server uses to push results to a
+    /// client as they land. Records arrive in job-id order within the run;
+    /// resumed (skipped) jobs are not replayed through this hook.
     pub on_record: Option<&'a mut dyn FnMut(&RunRecord)>,
     /// Warm step-one allocations (see [`AllocSource`]).
     pub allocs: Option<&'a dyn AllocSource>,
@@ -240,53 +248,13 @@ pub fn run_shard(
     dir: &Path,
     threads: Option<usize>,
 ) -> Result<ShardRun, ShardError> {
-    run_shard_with_scenarios(spec, dir, threads, None)
+    run_shard_hooked(spec, dir, threads, ShardHooks::default())
 }
 
-/// [`run_shard`] with an externally supplied scenario population.
-///
-/// `scenarios`, when given, must be exactly what
-/// [`ExperimentSpec::scenarios`] would generate for this spec (same suite,
-/// same seed — ids dense and in order); dispatch workers pass the
-/// population loaded from a shared cache so one generation serves every
-/// worker process. `None` regenerates locally.
-pub fn run_shard_with_scenarios(
-    spec: &ExperimentSpec,
-    dir: &Path,
-    threads: Option<usize>,
-    scenarios: Option<&[Scenario]>,
-) -> Result<ShardRun, ShardError> {
-    run_shard_journaled(spec, dir, threads, scenarios, None)
-}
-
-/// [`run_shard_with_scenarios`] with campaign-journal instrumentation.
-///
-/// When a [`Journal`] is supplied the run emits `job-started` on entry
-/// (after resume bookkeeping, so `skipped` is the resumed count),
-/// `chunk-done` after each committed write batch, and `job-finished` with
-/// the wall-clock total — the timing events `campaign status` turns into
-/// ETA and throughput. `None` runs exactly as before; journaling is
-/// provenance, not control flow, and never fails the shard.
-pub fn run_shard_journaled(
-    spec: &ExperimentSpec,
-    dir: &Path,
-    threads: Option<usize>,
-    scenarios: Option<&[Scenario]>,
-    journal: Option<&mut Journal>,
-) -> Result<ShardRun, ShardError> {
-    run_shard_hooked(
-        spec,
-        dir,
-        threads,
-        scenarios,
-        journal,
-        ShardHooks::default(),
-    )
-}
-
-/// [`run_shard_journaled`] with server extension points ([`ShardHooks`]):
-/// per-record streaming, warm step-one allocations, a resident execution
-/// pool and cooperative cancellation.
+/// [`run_shard`] with extension points ([`ShardHooks`]): a supplied
+/// scenario population, a campaign journal, per-record streaming, warm
+/// step-one allocations, a resident execution pool and cooperative
+/// cancellation.
 ///
 /// Every hook is wall-clock-only: the shard file bytes, the record values
 /// and the journal decision stream are bit-identical to the default batch
@@ -298,12 +266,10 @@ pub fn run_shard_hooked(
     spec: &ExperimentSpec,
     dir: &Path,
     threads: Option<usize>,
-    scenarios: Option<&[Scenario]>,
-    mut journal: Option<&mut Journal>,
     mut hooks: ShardHooks<'_>,
 ) -> Result<ShardRun, ShardError> {
     spec.validate()?;
-    if let Some(provided) = scenarios {
+    if let Some(provided) = hooks.scenarios {
         let expected = spec.suite.len();
         if provided.len() != expected {
             return Err(ShardError::Spec(SpecError::Invalid(format!(
@@ -411,176 +377,36 @@ pub fn run_shard_hooked(
     let total = grid.shard_len(shard) as usize;
     let skipped = total - todo.len();
     let started = std::time::Instant::now();
-    if let Some(j) = journal.as_deref_mut() {
+    if let Some(j) = hooks.journal.as_deref_mut() {
         j.emit(Event::JobStarted {
             job: shard.index as u64,
             total: total as u64,
             skipped: skipped as u64,
         });
     }
-    if todo.is_empty() {
-        if let Some(j) = journal.as_deref_mut() {
-            j.emit(Event::JobFinished {
-                job: shard.index as u64,
-                executed: 0,
-                skipped: skipped as u64,
-                elapsed_ms: started.elapsed().as_millis() as u64,
-            });
-        }
-        crate::telemetry::JOBS_COMPLETED.inc();
-        crate::telemetry::RESUMED.add(skipped as u64);
-        if rats_telemetry::enabled() {
-            crate::telemetry::JOB_SECONDS.observe(started.elapsed().as_secs_f64());
-        }
-        return Ok(ShardRun {
-            path,
-            executed: 0,
-            skipped,
-            total,
-            aborted: false,
-        });
-    }
-
-    let strategies: Vec<MappingStrategy> = spec
-        .strategies
-        .iter()
-        .map(|s| s.to_strategy().map_err(SpecError::Strategy))
-        .collect::<Result<_, _>>()?;
-    let generated: Vec<Scenario>;
-    let scenarios: &[Scenario] = match scenarios {
-        Some(provided) => provided,
-        None => {
-            generated = spec.scenarios();
-            &generated
-        }
-    };
-    assert_eq!(
-        scenarios.len(),
-        grid.scenarios(),
-        "suite size constants out of sync with the generators"
-    );
-
-    let cancelled = || {
-        hooks
-            .cancel
-            .is_some_and(|c| c.load(std::sync::atomic::Ordering::Relaxed))
-    };
     let mut file = fs::OpenOptions::new().append(true).open(&path)?;
     let mut executed = 0usize;
-    let mut aborted = false;
-    'clusters: for (ci, cluster_name) in spec.clusters.iter().enumerate() {
-        if cancelled() {
-            aborted = true;
-            break;
+    let aborted = run_jobs(spec, &todo, threads, &mut hooks, |records| {
+        for record in records {
+            writeln!(file, "{}", record.to_jsonl())?;
+            executed += 1;
         }
-        let cluster_jobs: Vec<JobId> = todo
-            .iter()
-            .copied()
-            .filter(|&j| grid.coords(j).cluster == ci)
-            .collect();
-        if cluster_jobs.is_empty() {
-            continue;
-        }
-        let platform = Platform::from_spec(&spec.cluster_spec(cluster_name)?);
-        // Step one (the shared HCPA allocation) only for the scenarios this
-        // shard actually touches on this cluster — served warm when an
-        // [`AllocSource`] already holds them (the allocation is a pure
-        // function of DAG and platform, so a cache hit is bit-identical to
-        // recomputation), computed and published otherwise.
-        let needed: Vec<usize> = {
-            let set: HashSet<usize> = cluster_jobs
-                .iter()
-                .map(|&j| grid.coords(j).scenario)
-                .collect();
-            let mut v: Vec<usize> = set.into_iter().collect();
-            v.sort_unstable();
-            v
-        };
-        let mut allocs: Vec<Option<Allocation>> = match hooks.allocs {
-            Some(src) => needed
-                .iter()
-                .map(|&n| src.lookup(cluster_name, n))
-                .collect(),
-            None => needed.iter().map(|_| None).collect(),
-        };
-        let misses: Vec<usize> = (0..needed.len()).filter(|&i| allocs[i].is_none()).collect();
-        let miss_refs: Vec<&Scenario> = misses.iter().map(|&i| &scenarios[needed[i]]).collect();
-        let computed = parallel_map_pooled(hooks.pool, &miss_refs, threads, |_, s| {
-            let _span = rats_telemetry::span(&rats_sched::telemetry::ALLOC_SECONDS);
-            allocate(&s.dag, &platform, AllocParams::default())
-        });
-        for (&i, alloc) in misses.iter().zip(computed) {
-            if let Some(src) = hooks.allocs {
-                src.publish(cluster_name, needed[i], &alloc);
-            }
-            allocs[i] = Some(alloc);
-        }
-        let prepared: BTreeMap<usize, PreparedScenario> = needed
-            .iter()
-            .zip(allocs)
-            .map(|(&n, alloc)| {
-                (
-                    n,
-                    PreparedScenario {
-                        scenario: scenarios[n].clone(),
-                        alloc: alloc.expect("every miss filled above"),
-                    },
-                )
-            })
-            .collect();
-        for chunk in cluster_jobs.chunks(WRITE_CHUNK) {
-            if cancelled() {
-                aborted = true;
-                break 'clusters;
-            }
-            let chunk_started = std::time::Instant::now();
-            let results = parallel_map_pooled(hooks.pool, chunk, threads, |_, &job| {
-                let c = grid.coords(job);
-                prepared[&c.scenario].evaluate(&platform, strategies[c.strategy])
-            });
-            for (&job, result) in chunk.iter().zip(&results) {
-                let c = grid.coords(job);
-                let record = RunRecord::new(
-                    job.0,
-                    cluster_name,
-                    spec.strategies[c.strategy].clone(),
-                    spec.seed,
-                    result,
-                );
-                writeln!(file, "{}", record.to_jsonl())?;
-                executed += 1;
-                if let Some(cb) = hooks.on_record.as_deref_mut() {
-                    cb(&record);
-                }
-            }
-            if let Some(j) = journal.as_deref_mut() {
-                j.emit(Event::ChunkDone {
-                    job: shard.index as u64,
-                    jobs: chunk.len() as u64,
-                    elapsed_ms: chunk_started.elapsed().as_millis() as u64,
-                });
-            }
-            crate::telemetry::RECORDS.add(chunk.len() as u64);
-            if rats_telemetry::enabled() {
-                crate::telemetry::CHUNK_SECONDS.observe(chunk_started.elapsed().as_secs_f64());
-            }
-        }
-    }
-    if let Some(j) = journal {
-        if !aborted {
+        Ok::<_, ShardError>(())
+    })?;
+    if !aborted {
+        let elapsed = started.elapsed();
+        if let Some(j) = hooks.journal {
             j.emit(Event::JobFinished {
                 job: shard.index as u64,
                 executed: executed as u64,
                 skipped: skipped as u64,
-                elapsed_ms: started.elapsed().as_millis() as u64,
+                elapsed_ms: elapsed.as_millis() as u64,
             });
         }
-    }
-    if !aborted {
         crate::telemetry::JOBS_COMPLETED.inc();
         crate::telemetry::RESUMED.add(skipped as u64);
         if rats_telemetry::enabled() {
-            crate::telemetry::JOB_SECONDS.observe(started.elapsed().as_secs_f64());
+            crate::telemetry::JOB_SECONDS.observe(elapsed.as_secs_f64());
         }
     }
     Ok(ShardRun {
@@ -831,8 +657,8 @@ pub fn merge_shards(paths: &[PathBuf]) -> Result<SpecOutcome, MergeError> {
     let grid = spec.grid();
 
     let mut by_job: BTreeMap<u64, RunRecord> = BTreeMap::new();
-    for (_, file) in &files {
-        for record in &file.records {
+    for (_, file) in files {
+        for record in file.records {
             let mismatch = |message: String| MergeError::RecordMismatch {
                 job: record.job,
                 message,
@@ -878,7 +704,7 @@ pub fn merge_shards(paths: &[PathBuf]) -> Result<SpecOutcome, MergeError> {
                     ));
                 }
             } else {
-                by_job.insert(record.job, record.clone());
+                by_job.insert(record.job, record);
             }
         }
     }
@@ -896,38 +722,8 @@ pub fn merge_shards(paths: &[PathBuf]) -> Result<SpecOutcome, MergeError> {
         });
     }
 
-    let strategies: Vec<MappingStrategy> = spec
-        .strategies
-        .iter()
-        .map(|s| s.to_strategy().map_err(SpecError::Strategy))
-        .collect::<Result<_, SpecError>>()?;
-    let mut clusters = Vec::with_capacity(spec.clusters.len());
-    for (ci, cluster) in spec.clusters.iter().enumerate() {
-        let mut results = Vec::with_capacity(strategies.len());
-        for (si, strategy) in strategies.iter().enumerate() {
-            let runs = (0..grid.scenarios())
-                .map(|n| {
-                    by_job[&grid
-                        .id(crate::grid::JobCoords {
-                            cluster: ci,
-                            scenario: n,
-                            strategy: si,
-                        })
-                        .0]
-                        .result()
-                })
-                .collect();
-            results.push(AlgoResults {
-                name: strategy.name().to_string(),
-                runs,
-            });
-        }
-        clusters.push(ClusterResults {
-            cluster: cluster.clone(),
-            results,
-        });
-    }
-    Ok(SpecOutcome { spec, clusters })
+    let records: Vec<RunRecord> = by_job.into_values().collect();
+    Ok(fold_records(spec, &records)?)
 }
 
 #[cfg(test)]

@@ -36,14 +36,15 @@ use std::fmt;
 
 use rats_daggen::suite::{self, Scenario};
 use rats_model::CostParams;
-use rats_platform::{ClusterSpec, Platform};
+use rats_platform::ClusterSpec;
 use rats_sched::{MappingStrategy, StrategyError};
 use rats_workloads::WorkloadSpec;
 use serde::{Deserialize, Serialize, Value};
 
-use crate::campaign::{run_campaign, AlgoResults, PreparedScenario};
-use crate::grid::{JobGrid, ShardSpec};
+use crate::campaign::{fold_records, run_jobs, AlgoResults};
+use crate::grid::{JobGrid, JobId, ShardSpec};
 use crate::runner::default_threads;
+use crate::shard::ShardHooks;
 use crate::stats;
 
 /// Which scenario population a campaign runs on.
@@ -416,12 +417,11 @@ impl ExperimentSpec {
         }
     }
 
-    /// Executes the campaign **in-process**: generate the suite, share the
-    /// HCPA allocation per scenario, evaluate every strategy on every
-    /// cluster. A spec that selects a proper shard is rejected — partial
-    /// grids go through the shard executor
-    /// ([`shard::run_shard`](crate::shard::run_shard)), whose JSONL output
-    /// merges back to exactly what this method returns.
+    /// Executes the campaign **in-process**: every job of the grid through
+    /// the same job loop shard workers run, committed into memory, then
+    /// folded with the same code [`merge_shards`](crate::shard::merge_shards)
+    /// uses. A spec that selects a proper shard is rejected — partial grids
+    /// go through the shard executor ([`shard::run_shard`](crate::shard::run_shard)).
     pub fn run(&self) -> Result<SpecOutcome, SpecError> {
         self.validate()?;
         if self.shard.is_some_and(|s| !s.is_full()) {
@@ -432,28 +432,13 @@ impl ExperimentSpec {
             )));
         }
         let threads = self.threads.unwrap_or_else(default_threads);
-        let strategies: Vec<MappingStrategy> = self
-            .strategies
-            .iter()
-            .map(|s| s.to_strategy().map_err(SpecError::Strategy))
-            .collect::<Result<_, _>>()?;
-        // Generate the population once; per-cluster preparation only
-        // re-allocates (step one), it never regenerates DAGs.
-        let scenarios = self.scenarios();
-        let mut clusters = Vec::new();
-        for name in &self.clusters {
-            let platform = Platform::from_spec(&self.cluster_spec(name)?);
-            let prepared = PreparedScenario::prepare(scenarios.clone(), &platform, threads);
-            let results = run_campaign(&prepared, &platform, &strategies, threads);
-            clusters.push(ClusterResults {
-                cluster: name.clone(),
-                results,
-            });
-        }
-        Ok(SpecOutcome {
-            spec: self.clone(),
-            clusters,
-        })
+        let jobs: Vec<JobId> = self.grid().shard_jobs(ShardSpec::default()).collect();
+        let mut records = Vec::with_capacity(jobs.len());
+        run_jobs(self, &jobs, threads, &mut ShardHooks::default(), |chunk| {
+            records.extend_from_slice(chunk);
+            Ok::<_, SpecError>(())
+        })?;
+        fold_records(self.clone(), &records)
     }
 }
 

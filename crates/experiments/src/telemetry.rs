@@ -1,7 +1,7 @@
-//! Shard-executor metrics: per-job and per-chunk wall-time histograms and
-//! record throughput counters. Observational only — the executor reuses
-//! the `Instant`s it already keeps for the journal, and never reads a
-//! metric back.
+//! Job-loop metrics: per-shard and per-chunk wall-time histograms and
+//! record throughput counters. Observational only — each chunk and shard
+//! takes one clock reading that feeds both the journal and these
+//! histograms, and nothing reads a metric back.
 
 use rats_telemetry::{Counter, Histogram, Metric, TIME_BUCKETS};
 
@@ -13,10 +13,11 @@ pub static JOB_SECONDS: Histogram = Histogram::new(
     TIME_BUCKETS,
 );
 
-/// Per write-chunk wall time (schedule + simulate + append one chunk).
+/// Per write-chunk wall time (schedule + simulate + commit one chunk), in
+/// shard runs and in-process runs alike.
 pub static CHUNK_SECONDS: Histogram = Histogram::new(
     "rats_shard_chunk_seconds",
-    "Shard write-chunk wall time (evaluate + append).",
+    "Shard write-chunk wall time (evaluate + commit).",
     TIME_BUCKETS,
 );
 
@@ -26,10 +27,10 @@ pub static JOBS_COMPLETED: Counter = Counter::new(
     "Shard jobs run to completion (resumed-empty jobs included).",
 );
 
-/// Grid jobs executed (records appended).
+/// Grid jobs executed (records committed).
 pub static RECORDS: Counter = Counter::new(
     "rats_shard_records_total",
-    "Grid-job records executed and appended to shard files.",
+    "Grid-job records executed and committed (shard file or in-process run).",
 );
 
 /// Grid jobs resumed from disk instead of re-executed.

@@ -2,9 +2,10 @@
 //!
 //! Tuning sweeps are ordinary campaigns: each grid point is a
 //! [`MappingStrategy`] value, the points are evaluated by the same executor
-//! as the headline comparison ([`evaluate_strategies`]) — and therefore by
-//! the same sharded job grid — and the figures/tables are pure assemblies
-//! over the per-strategy results ([`sweep_tables`]). In-process and
+//! as the headline comparison
+//! ([`ExperimentSpec::run`](crate::spec::ExperimentSpec::run)) — and
+//! therefore by the same sharded job grid — and the figures/tables are pure
+//! assemblies over the per-strategy results ([`sweep_tables`]). In-process and
 //! merged-from-shards paths share the assembly code, so they agree bit for
 //! bit.
 
@@ -406,7 +407,6 @@ pub fn evaluate_tuned(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::evaluate_strategies;
     use rats_daggen::suite::mini_suite;
     use rats_model::CostParams;
     use rats_platform::ClusterSpec;
@@ -447,10 +447,9 @@ mod tests {
         let strategies = sweep_strategies();
         let results: Vec<AlgoResults> = strategies
             .iter()
-            .zip(evaluate_strategies(&prepared, &platform, &strategies, 2))
-            .map(|(s, runs)| AlgoResults {
+            .map(|&s| AlgoResults {
                 name: s.name().to_string(),
-                runs,
+                runs: prepared.iter().map(|p| p.evaluate(&platform, s)).collect(),
             })
             .collect();
         let tables = sweep_tables(&results);
@@ -501,7 +500,10 @@ mod tests {
         );
         let strategies = delta_strategies();
         // Oracle: every grid point mapped and simulated independently.
-        let naive = evaluate_strategies(&prepared, &platform, &strategies, 2);
+        let naive: Vec<Vec<RunResult>> = strategies
+            .iter()
+            .map(|&s| prepared.iter().map(|p| p.evaluate(&platform, s)).collect())
+            .collect();
 
         let set = TuningSet::new(&prepared, &platform, 2);
         let grid = set.delta_grid(2);

@@ -403,8 +403,6 @@ fn cancelled_shard_aborts_resumably() {
         &spec,
         &dir,
         Some(2),
-        None,
-        None,
         ShardHooks {
             cancel: Some(&cancel),
             ..Default::default()
@@ -426,8 +424,6 @@ fn cancelled_shard_aborts_resumably() {
         &spec,
         &dir,
         Some(2),
-        None,
-        None,
         ShardHooks {
             on_record: Some(&mut on_record),
             cancel: Some(&cancel),
@@ -445,8 +441,6 @@ fn cancelled_shard_aborts_resumably() {
         &spec,
         &dir,
         Some(2),
-        None,
-        None,
         ShardHooks {
             cancel: Some(&cancel),
             ..Default::default()
@@ -458,5 +452,35 @@ fn cancelled_shard_aborts_resumably() {
     assert_eq!(resumed.executed + resumed.skipped, resumed.total);
     let merged = merge_shards(std::slice::from_ref(&resumed.path)).unwrap();
     assert_outcomes_bit_identical(&merged, &reference);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A supplied population must be the spec's: the wrong length or ids that
+/// are not dense and in order fail as spec errors before any shard file
+/// is written.
+#[test]
+fn supplied_population_is_validated() {
+    use rats_experiments::shard::{run_shard_hooked, ShardError, ShardHooks};
+
+    let spec = mini_spec("population", 17);
+    let dir = temp_dir("population");
+    let short: Vec<_> = spec.scenarios().into_iter().skip(1).collect();
+    let mut shuffled = spec.scenarios();
+    shuffled.swap(0, 1);
+    for bad in [&short, &shuffled] {
+        let hooks = ShardHooks {
+            scenarios: Some(bad),
+            ..Default::default()
+        };
+        match run_shard_hooked(&spec, &dir, Some(2), hooks) {
+            Err(ShardError::Spec(_)) => {}
+            other => panic!("expected a spec error, got {other:?}"),
+        }
+    }
+    assert_eq!(
+        fs::read_dir(&dir).unwrap().count(),
+        0,
+        "no shard file written"
+    );
     fs::remove_dir_all(&dir).unwrap();
 }

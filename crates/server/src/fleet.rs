@@ -202,7 +202,13 @@ impl ParallelExec for Fleet {
 
 impl Drop for Fleet {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Relaxed);
+        // Set the flag under the queue lock: a worker checks it while
+        // holding that lock, so the notify below cannot slip in between
+        // its check and its wait and leave it asleep forever.
+        {
+            let _queue = self.inner.queue.lock().expect("fleet queue never poisoned");
+            self.inner.shutdown.store(true, Ordering::Relaxed);
+        }
         self.inner.available.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();

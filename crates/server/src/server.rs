@@ -480,9 +480,9 @@ fn handle_submit(
                     &spec,
                     &shard_dir,
                     Some(state.fleet.width()),
-                    Some(&population),
-                    Some(&mut journal),
                     ShardHooks {
+                        scenarios: Some(&population),
+                        journal: Some(&mut journal),
                         on_record: Some(&mut on_record),
                         allocs: Some(&warm_allocs),
                         pool: Some(&state.fleet),

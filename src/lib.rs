@@ -33,9 +33,6 @@
 //!   over a filesystem work queue (host inventories, lease heartbeats,
 //!   shared scenario cache; the `campaign dispatch` subcommand).
 //!
-//! Single [`Run`]s serialize too: [`RunArtifact`] is the JSONL projection
-//! of a run (provenance + simulated numbers), round-trippable bit-exactly.
-//!
 //! ## Quickstart
 //!
 //! One [`Pipeline`] call covers the whole chain the paper evaluates —
@@ -82,15 +79,12 @@ pub use rats_telemetry as telemetry;
 pub use rats_workloads as workloads;
 
 mod pipeline;
-mod record;
 
 pub use pipeline::{Pipeline, Provenance, Run};
-pub use record::RunArtifact;
 
 /// Convenient single-import surface for the most common types.
 pub mod prelude {
     pub use crate::pipeline::{Pipeline, Provenance, Run};
-    pub use crate::record::RunArtifact;
     pub use rats_dag::{EdgeId, TaskGraph, TaskId};
     pub use rats_daggen::{fft_dag, irregular_dag, layered_dag, strassen_dag, DagParams};
     pub use rats_model::{AmdahlLaw, CostParams, TaskCost};

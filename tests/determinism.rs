@@ -1,7 +1,7 @@
 //! Bit-for-bit reproducibility of the entire pipeline.
 
 use rats::daggen::suite::{mini_suite, paper_suite};
-use rats::experiments::campaign::{naive_strategies, run_campaign, PreparedScenario};
+use rats::experiments::spec::{ExperimentSpec, SuiteSpec};
 use rats::prelude::*;
 
 #[test]
@@ -28,11 +28,12 @@ fn paper_suite_population_is_exactly_557() {
 
 #[test]
 fn campaign_results_are_thread_count_independent() {
-    let platform = Platform::from_spec(&ClusterSpec::chti());
-    let prepared = PreparedScenario::prepare(mini_suite(&CostParams::tiny(), 3), &platform, 2);
-    let seq = run_campaign(&prepared, &platform, &naive_strategies(), 1);
-    let par = run_campaign(&prepared, &platform, &naive_strategies(), 4);
-    for (a, b) in seq.iter().zip(&par) {
+    let mut spec = ExperimentSpec::naive("threads", "chti", SuiteSpec::Mini, 3);
+    spec.threads = Some(1);
+    let seq = spec.run().unwrap();
+    spec.threads = Some(4);
+    let par = spec.run().unwrap();
+    for (a, b) in seq.clusters[0].results.iter().zip(&par.clusters[0].results) {
         assert_eq!(a.name, b.name);
         for (x, y) in a.runs.iter().zip(&b.runs) {
             assert_eq!(x.makespan.to_bits(), y.makespan.to_bits());
