@@ -1,21 +1,221 @@
-//! One generator per paper artifact (tables II–VI, figures 2–7).
+//! The paper's artifacts — Tables II–VI and Figures 2–7 — plus the
+//! quality ablation, as `campaign paper <artifact>` prints them.
 //!
-//! Each function returns the artifact as printable text; the binaries in
-//! `src/bin/` are thin wrappers. `quick = true` swaps the 557-configuration
-//! paper suite for a mini suite (smoke-test scale).
+//! Every computed artifact is a pure renderer over a [`SpecOutcome`]. It
+//! declares the clusters and the [`sweep_strategies`] points it reads
+//! ([`Artifact::spec`]); [`paper`] runs the smallest campaign covering the
+//! request through [`ExperimentSpec::run`], the one job executor behind
+//! sharded, dispatched and served campaigns, and the renderer looks the
+//! results up by strategy value. `quick = true` swaps the
+//! 557-configuration paper suite for the mini suite (smoke-test scale).
 
 use std::fmt::Write as _;
 
 use rats_daggen::suite::{self, AppFamily, Scenario};
 use rats_model::CostParams;
 use rats_platform::{ClusterSpec, Platform};
+use rats_sched::MappingStrategy;
 
-use crate::campaign::{AlgoResults, PreparedScenario, BASE_SEED};
+use crate::ablation;
+use crate::campaign::{naive_strategies, AlgoResults, PreparedScenario, BASE_SEED};
 use crate::figures;
-use crate::runner::parallel_map;
-use crate::spec::ExperimentSpec;
+use crate::spec::{ExperimentSpec, SpecOutcome, StrategySpec, SuiteSpec};
 use crate::stats;
-use crate::tuning::{self, paper_tuned};
+use crate::tuning::{self, paper_tuned, sweep_strategies};
+
+/// The paper's clusters, in paper order.
+const CLUSTERS: [&str; 3] = ["chti", "grillon", "grelon"];
+
+/// The artifacts the full report prints, in paper order.
+const REPORT: [Artifact; 9] = [
+    Artifact::Table2,
+    Artifact::Table3,
+    Artifact::Fig2_3,
+    Artifact::Fig4,
+    Artifact::Fig5,
+    Artifact::Table4,
+    Artifact::Fig6_7,
+    Artifact::Table5,
+    Artifact::Table6,
+];
+
+/// The tuned comparison's algorithms, in [`tuning::TunedParams::strategies`]
+/// order.
+const TUNED_NAMES: [&str; 3] = ["HCPA", "delta", "time-cost"];
+
+/// What `campaign paper` prints: one table or figure of the paper, the
+/// full report (`all`), or the quality ablation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Artifact {
+    /// Table II: cluster characteristics.
+    Table2,
+    /// Table III: DAG generation parameters and population counts.
+    Table3,
+    /// Figures 2 and 3: naive RATS vs HCPA on grillon.
+    Fig2_3,
+    /// Figure 4: the delta parameter surface, FFT DAGs on grillon.
+    Fig4,
+    /// Figure 5: the `minrho` curves, irregular DAGs on grillon.
+    Fig5,
+    /// Table IV: tuned parameters per family and cluster.
+    Table4,
+    /// Figures 6 and 7: tuned RATS vs HCPA on grillon.
+    Fig6_7,
+    /// Table V: pairwise comparison of the tuned algorithms.
+    Table5,
+    /// Table VI: average degradation from best.
+    Table6,
+    /// Tables V and VI together.
+    Table5_6,
+    /// Every table and figure, in paper order.
+    All,
+    /// The quality ablations (see [`ablation`]).
+    Ablation,
+}
+
+impl Artifact {
+    /// Every artifact under its command-line name.
+    pub const NAMES: [(&'static str, Artifact); 12] = [
+        ("table2", Artifact::Table2),
+        ("table3", Artifact::Table3),
+        ("fig2_3", Artifact::Fig2_3),
+        ("fig4", Artifact::Fig4),
+        ("fig5", Artifact::Fig5),
+        ("table4", Artifact::Table4),
+        ("fig6_7", Artifact::Fig6_7),
+        ("table5", Artifact::Table5),
+        ("table6", Artifact::Table6),
+        ("table5_6", Artifact::Table5_6),
+        ("all", Artifact::All),
+        ("ablation", Artifact::Ablation),
+    ];
+
+    /// The artifact's command-line name.
+    pub fn name(self) -> &'static str {
+        Self::NAMES
+            .iter()
+            .find(|(_, a)| *a == self)
+            .expect("every artifact is named")
+            .0
+    }
+
+    /// Parses a command-line name (see [`Self::NAMES`]).
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::NAMES
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, a)| *a)
+    }
+
+    /// The clusters and strategies the artifact reads, or `None` when it
+    /// renders without a campaign (Tables II and III; the ablation varies
+    /// knobs a strategy spec cannot express and keeps its own evaluator).
+    fn reads(self) -> Option<(Vec<&'static str>, Vec<MappingStrategy>)> {
+        let hcpa = || vec![MappingStrategy::Hcpa];
+        let tuned = |clusters: &[&str]| -> Vec<MappingStrategy> {
+            clusters
+                .iter()
+                .flat_map(|&c| AppFamily::PAPER.map(|f| paper_tuned(f, c).strategies()))
+                .flatten()
+                .collect()
+        };
+        Some(match self {
+            Artifact::Table2 | Artifact::Table3 | Artifact::Ablation => return None,
+            Artifact::Fig2_3 => (vec!["grillon"], naive_strategies()),
+            Artifact::Fig4 => (
+                vec!["grillon"],
+                [hcpa(), tuning::delta_strategies()].concat(),
+            ),
+            Artifact::Fig5 => (vec!["grillon"], [hcpa(), tuning::rho_strategies()].concat()),
+            Artifact::Table4 => (
+                CLUSTERS.to_vec(),
+                [
+                    hcpa(),
+                    tuning::delta_strategies(),
+                    tuning::rho_curve_strategies(true),
+                ]
+                .concat(),
+            ),
+            Artifact::Fig6_7 => (vec!["grillon"], tuned(&["grillon"])),
+            Artifact::Table5 | Artifact::Table6 | Artifact::Table5_6 => {
+                (CLUSTERS.to_vec(), tuned(&CLUSTERS))
+            }
+            Artifact::All => {
+                let (clusters, strategies): (Vec<_>, Vec<_>) =
+                    REPORT.iter().filter_map(|a| a.reads()).unzip();
+                (clusters.concat(), strategies.concat())
+            }
+        })
+    }
+
+    /// The smallest campaign covering the artifact: the clusters it reads
+    /// in paper order and the strategies it reads in [`sweep_strategies`]
+    /// order, on the paper suite (or the mini suite when `quick`). `None`
+    /// for artifacts that run no campaign.
+    pub fn spec(self, quick: bool) -> Option<ExperimentSpec> {
+        let (clusters, strategies) = self.reads()?;
+        Some(ExperimentSpec {
+            name: format!("paper-{}", self.name()),
+            seed: BASE_SEED,
+            suite: if quick {
+                SuiteSpec::Mini
+            } else {
+                SuiteSpec::Paper
+            },
+            clusters: CLUSTERS
+                .iter()
+                .filter(|c| clusters.contains(c))
+                .map(|c| c.to_string())
+                .collect(),
+            strategies: sweep_strategies()
+                .into_iter()
+                .filter(|s| strategies.contains(s))
+                .map(StrategySpec::from_strategy)
+                .collect(),
+            threads: None,
+            shard: None,
+        })
+    }
+
+    /// Renders the artifact from the outcome of its [`Self::spec`] (or of
+    /// any campaign covering it).
+    fn render(self, quick: bool, threads: usize, outcome: Option<&SpecOutcome>) -> String {
+        let outcome = || outcome.expect("computed artifacts render from their campaign");
+        match self {
+            Artifact::Table2 => table2(),
+            Artifact::Table3 => table3(quick),
+            Artifact::Fig2_3 => fig2_3(outcome()),
+            Artifact::Fig4 => fig4(outcome()),
+            Artifact::Fig5 => fig5(outcome()),
+            Artifact::Table4 => table4(outcome()),
+            Artifact::Fig6_7 => fig6_7(outcome()),
+            Artifact::Table5 => table5(outcome()),
+            Artifact::Table6 => table6(outcome()),
+            Artifact::Table5_6 => format!("{}\n{}\n", table5(outcome()), table6(outcome())),
+            Artifact::All => REPORT
+                .map(|a| a.render(quick, threads, Some(outcome())))
+                .join("\n"),
+            Artifact::Ablation => {
+                let platform = Platform::from_spec(&ClusterSpec::grillon());
+                let prepared = PreparedScenario::prepare(load_suite(quick), &platform, threads);
+                ablation::run(&prepared, &platform, threads)
+            }
+        }
+    }
+}
+
+/// Prints `artifact` at paper scale (or on the mini suite when `quick`):
+/// runs the campaign [`Artifact::spec`] declares through
+/// [`ExperimentSpec::run`] on `threads` workers and renders its outcome.
+/// The ablation varies knobs a strategy spec cannot express and runs its
+/// own evaluator instead.
+pub fn paper(artifact: Artifact, quick: bool, threads: usize) -> String {
+    let outcome = artifact.spec(quick).map(|mut spec| {
+        spec.threads = Some(threads);
+        spec.run().expect("the built-in paper specs are valid")
+    });
+    artifact.render(quick, threads, outcome.as_ref())
+}
 
 /// Loads the scenario suite (full paper population or mini).
 pub fn load_suite(quick: bool) -> Vec<Scenario> {
@@ -26,12 +226,75 @@ pub fn load_suite(quick: bool) -> Vec<Scenario> {
     }
 }
 
-/// The paper's three clusters.
-pub fn clusters() -> Vec<Platform> {
-    ClusterSpec::paper_clusters()
-        .iter()
-        .map(Platform::from_spec)
-        .collect()
+/// One cluster's results in a campaign outcome, looked up by strategy
+/// value and optionally restricted to one application family.
+struct Selection {
+    strategies: Vec<MappingStrategy>,
+    results: Vec<AlgoResults>,
+}
+
+impl Selection {
+    fn new(outcome: &SpecOutcome, cluster: &str, family: Option<AppFamily>) -> Self {
+        let results = &outcome
+            .clusters
+            .iter()
+            .find(|c| c.cluster == cluster)
+            .unwrap_or_else(|| panic!("the campaign does not run on {cluster}"))
+            .results;
+        Self {
+            strategies: outcome
+                .spec
+                .strategies
+                .iter()
+                .map(|s| s.to_strategy().expect("a campaign that ran is valid"))
+                .collect(),
+            results: results
+                .iter()
+                .map(|r| AlgoResults {
+                    name: r.name.clone(),
+                    runs: r
+                        .runs
+                        .iter()
+                        .filter(|run| family.is_none_or(|f| run.family == f))
+                        .copied()
+                        .collect(),
+                })
+                .collect(),
+        }
+    }
+
+    fn get(&self, strategy: MappingStrategy) -> &AlgoResults {
+        let i = self
+            .strategies
+            .iter()
+            .position(|&s| s == strategy)
+            .unwrap_or_else(|| panic!("the campaign does not run {strategy:?}"));
+        &self.results[i]
+    }
+
+    fn pick(&self, strategies: &[MappingStrategy]) -> Vec<AlgoResults> {
+        strategies.iter().map(|&s| self.get(s).clone()).collect()
+    }
+
+    fn scenarios(&self) -> usize {
+        self.results[0].runs.len()
+    }
+
+    /// The tuned comparison `[HCPA, delta, time-cost]`: every scenario
+    /// with its family's paper-tuned parameters for `cluster`.
+    fn tuned(&self, cluster: &str) -> Vec<AlgoResults> {
+        (0..TUNED_NAMES.len())
+            .map(|k| AlgoResults {
+                name: TUNED_NAMES[k].to_string(),
+                runs: (0..self.scenarios())
+                    .map(|i| {
+                        let family = self.results[0].runs[i].family;
+                        self.get(paper_tuned(family, cluster).strategies()[k]).runs[i]
+                    })
+                    .collect(),
+            })
+            .collect()
+    }
 }
 
 /// Table II: cluster characteristics.
@@ -92,34 +355,13 @@ pub fn table3(quick: bool) -> String {
     out
 }
 
-/// Shared helper: prepared scenarios for a platform.
-fn prepare(platform: &Platform, quick: bool, threads: usize) -> Vec<PreparedScenario> {
-    PreparedScenario::prepare(load_suite(quick), platform, threads)
-}
-
 /// Figures 2 and 3: relative makespan and relative work of RATS (naive
-/// parameters) vs HCPA on grillon. The campaign itself is declared as data
-/// (an [`ExperimentSpec`]) and executed by the spec engine; only the
-/// figure-shaped rendering lives here.
-pub fn fig2_3(quick: bool, threads: usize) -> String {
-    let suite = if quick {
-        crate::spec::SuiteSpec::Mini
-    } else {
-        crate::spec::SuiteSpec::Paper
-    };
-    let mut spec = ExperimentSpec::naive("fig2_3-naive", "grillon", suite, BASE_SEED);
-    spec.threads = Some(threads);
-    let outcome = spec.run().expect("the built-in fig2_3 spec is valid");
-    fig2_3_from_results(&outcome.clusters[0].results)
-}
-
-/// Figures 2 and 3 from already-obtained results (`results[0]` = HCPA
-/// baseline) — e.g. the merged records of a sharded naive campaign.
-pub fn fig2_3_from_results(results: &[AlgoResults]) -> String {
+/// parameters) vs HCPA on grillon.
+fn fig2_3(outcome: &SpecOutcome) -> String {
     render_relative_pair(
         "Figure 2 — relative makespan (naive parameters, grillon)",
         "Figure 3 — relative work (naive parameters, grillon)",
-        results,
+        &Selection::new(outcome, "grillon", None).pick(&naive_strategies()),
     )
 }
 
@@ -215,77 +457,53 @@ pub fn render_relative_pair(
 }
 
 /// Figure 4: delta-strategy parameter surface for FFT DAGs on grillon.
-pub fn fig4(quick: bool, threads: usize) -> String {
-    let platform = Platform::from_spec(&ClusterSpec::grillon());
-    let prepared: Vec<PreparedScenario> = prepare(&platform, quick, threads)
-        .into_iter()
-        .filter(|p| p.scenario.family == AppFamily::Fft)
-        .collect();
-    let grid = tuning::TuningSet::new(&prepared, &platform, threads).delta_grid(threads);
+fn fig4(outcome: &SpecOutcome) -> String {
+    let fft = Selection::new(outcome, "grillon", Some(AppFamily::Fft));
     figures::render_delta_grid(
         &format!(
             "Figure 4 — avg relative makespan of delta vs (mindelta, maxdelta), \
              FFT on grillon ({} DAGs)",
-            prepared.len()
+            fft.scenarios()
         ),
-        &grid,
+        &tuning::delta_grid(&|s| fft.get(s)),
     )
 }
 
 /// Figure 5: time-cost `minrho` curves (packing on/off) for irregular DAGs
 /// on grillon.
-pub fn fig5(quick: bool, threads: usize) -> String {
-    let platform = Platform::from_spec(&ClusterSpec::grillon());
-    let prepared: Vec<PreparedScenario> = prepare(&platform, quick, threads)
-        .into_iter()
-        .filter(|p| p.scenario.family == AppFamily::Irregular)
-        .collect();
-    let (with_packing, without_packing) =
-        tuning::TuningSet::new(&prepared, &platform, threads).rho_curves(threads);
+fn fig5(outcome: &SpecOutcome) -> String {
+    let irregular = Selection::new(outcome, "grillon", Some(AppFamily::Irregular));
+    let runs = |s| irregular.get(s);
     figures::render_rho_curves(
         &format!(
             "Figure 5 — avg relative makespan of time-cost vs minrho, \
              irregular DAGs on grillon ({} DAGs)",
-            prepared.len()
+            irregular.scenarios()
         ),
-        &with_packing,
-        &without_packing,
+        &tuning::rho_curve(true, &runs),
+        &tuning::rho_curve(false, &runs),
     )
 }
 
-/// Table IV: tuned parameters per application family and cluster
-/// (recomputed from scratch by sweeping the grids — the heavy artifact).
-/// `thin` keeps every `thin`-th scenario of each family (1 = all).
-pub fn table4(quick: bool, threads: usize, thin: usize) -> String {
-    let mut out = format!(
-        "# Table IV — tuned (mindelta, maxdelta, minrho) per family and cluster\
-         {}\n",
-        if thin > 1 {
-            format!(" (thinned 1/{thin})")
-        } else {
-            String::new()
-        }
-    );
+/// Table IV: tuned parameters per application family and cluster,
+/// recomputed from the Figure 4/5 grids.
+fn table4(outcome: &SpecOutcome) -> String {
+    let mut out =
+        String::from("# Table IV — tuned (mindelta, maxdelta, minrho) per family and cluster\n");
     let _ = write!(out, "{:<10}", "cluster");
     for f in AppFamily::PAPER {
         let _ = write!(out, "{:>22}", f.name());
     }
     out.push('\n');
-    for platform in clusters() {
-        let prepared = prepare(&platform, quick, threads);
-        let _ = write!(out, "{:<10}", platform.name());
+    for cluster in &outcome.spec.clusters {
+        let _ = write!(out, "{cluster:<10}");
         for family in AppFamily::PAPER {
-            let fam: Vec<PreparedScenario> = prepared
-                .iter()
-                .filter(|p| p.scenario.family == family)
-                .step_by(thin.max(1))
-                .cloned()
-                .collect();
-            if fam.is_empty() {
+            let fam = Selection::new(outcome, cluster, Some(family));
+            if fam.scenarios() == 0 {
                 let _ = write!(out, "{:>22}", "-");
                 continue;
             }
-            let t = tuning::tune_family(&fam, &platform, threads);
+            let t = tuning::tuned(&|s| fam.get(s));
             let _ = write!(
                 out,
                 "{:>22}",
@@ -297,50 +515,37 @@ pub fn table4(quick: bool, threads: usize, thin: usize) -> String {
     out
 }
 
-/// Runs the tuned campaign on one platform: every scenario evaluated with
-/// its family's paper-tuned parameters. Returns `[HCPA, delta, time-cost]`.
-pub fn tuned_campaign(
-    prepared: &[PreparedScenario],
-    platform: &Platform,
-    threads: usize,
-) -> Vec<AlgoResults> {
-    let names = ["HCPA", "delta", "time-cost"];
-    let runs = parallel_map(prepared, threads, |_, p| {
-        let params = paper_tuned(p.scenario.family, platform.name());
-        tuning::evaluate_tuned(p, platform, params)
-    });
-    (0..3)
-        .map(|k| AlgoResults {
-            name: names[k].to_string(),
-            runs: runs.iter().map(|r| r[k]).collect(),
+/// Figures 6 and 7: the Figure 2/3 comparison with tuned parameters.
+fn fig6_7(outcome: &SpecOutcome) -> String {
+    render_relative_pair(
+        "Figure 6 — relative makespan (tuned parameters, grillon)",
+        "Figure 7 — relative work (tuned parameters, grillon)",
+        &Selection::new(outcome, "grillon", None).tuned("grillon"),
+    )
+}
+
+/// The tuned comparison's makespans on every cluster of the campaign, as
+/// `makespans[cluster][algo][scenario]`.
+fn tuned_makespans(outcome: &SpecOutcome) -> Vec<Vec<Vec<f64>>> {
+    outcome
+        .spec
+        .clusters
+        .iter()
+        .map(|c| {
+            Selection::new(outcome, c, None)
+                .tuned(c)
+                .iter()
+                .map(AlgoResults::makespans)
+                .collect()
         })
         .collect()
 }
 
-/// Figures 6 and 7: the Figure 2/3 comparison with tuned parameters.
-pub fn fig6_7(quick: bool, threads: usize) -> String {
-    let platform = Platform::from_spec(&ClusterSpec::grillon());
-    let prepared = prepare(&platform, quick, threads);
-    let results = tuned_campaign(&prepared, &platform, threads);
-    render_relative_pair(
-        "Figure 6 — relative makespan (tuned parameters, grillon)",
-        "Figure 7 — relative work (tuned parameters, grillon)",
-        &results,
-    )
-}
-
-/// Tables V and VI: pairwise comparison counts and degradation-from-best of
-/// the tuned algorithms on all three clusters. Returns `(table5, table6)`.
-pub fn table5_6(quick: bool, threads: usize) -> (String, String) {
-    let names = ["HCPA", "delta", "time-cost"];
-    // makespans[cluster][algo][scenario]
-    let mut makespans: Vec<Vec<Vec<f64>>> = Vec::new();
-    for platform in clusters() {
-        let prepared = prepare(&platform, quick, threads);
-        let results = tuned_campaign(&prepared, &platform, threads);
-        makespans.push(results.iter().map(AlgoResults::makespans).collect());
-    }
-
+/// Table V: pairwise better/equal/worse counts of the tuned algorithms on
+/// the three clusters.
+fn table5(outcome: &SpecOutcome) -> String {
+    let names = TUNED_NAMES;
+    let makespans = tuned_makespans(outcome);
     let mut t5 = String::from(
         "# Table V — pairwise better/equal/worse counts (tuned), chti / grillon / grelon\n",
     );
@@ -371,76 +576,18 @@ pub fn table5_6(quick: bool, threads: usize) -> (String, String) {
         ));
         t5.push('\n');
     }
+    t5
+}
 
+/// Table VI: average degradation from best of the tuned algorithms, per
+/// cluster.
+fn table6(outcome: &SpecOutcome) -> String {
     let mut t6 = String::from("# Table VI — average degradation from best (tuned)\n");
-    for (cl, platform) in clusters().iter().enumerate() {
-        let deg = stats::degradation_from_best(&makespans[cl]);
-        t6.push_str(&figures::render_degradation(platform.name(), &names, &deg));
+    for (cluster, makespans) in outcome.spec.clusters.iter().zip(tuned_makespans(outcome)) {
+        let deg = stats::degradation_from_best(&makespans);
+        t6.push_str(&figures::render_degradation(cluster, &TUNED_NAMES, &deg));
     }
-    (t5, t6)
-}
-
-/// The full report: every artifact in paper order.
-pub fn all(quick: bool, threads: usize) -> String {
-    let mut out = String::new();
-    out.push_str(&table2());
-    out.push('\n');
-    out.push_str(&table3(quick));
-    out.push('\n');
-    out.push_str(&fig2_3(quick, threads));
-    out.push('\n');
-    out.push_str(&fig4(quick, threads));
-    out.push('\n');
-    out.push_str(&fig5(quick, threads));
-    out.push('\n');
-    out.push_str(&table4(quick, threads, 1));
-    out.push('\n');
-    out.push_str(&fig6_7(quick, threads));
-    out.push('\n');
-    let (t5, t6) = table5_6(quick, threads);
-    out.push_str(&t5);
-    out.push('\n');
-    out.push_str(&t6);
-    out
-}
-
-/// Minimal CLI parsing shared by the artifact binaries: `--quick` and
-/// `--threads N`. `--thin N` (used by the Table IV sweep) keeps only every
-/// N-th scenario of each family to bound the tuning cost; it is recorded in
-/// the artifact header.
-pub fn cli_opts() -> (bool, usize) {
-    let (quick, threads, _) = cli_opts_thin();
-    (quick, threads)
-}
-
-/// See [`cli_opts`]; also returns the `--thin` factor (default 1).
-pub fn cli_opts_thin() -> (bool, usize, usize) {
-    let mut quick = false;
-    let mut threads = crate::runner::default_threads();
-    let mut thin = 1usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads needs a number");
-            }
-            "--thin" => {
-                thin = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&v| v >= 1)
-                    .expect("--thin needs a positive number");
-            }
-            other => {
-                panic!("unknown argument {other:?} (expected --quick / --threads N / --thin N)")
-            }
-        }
-    }
-    (quick, threads, thin)
+    t6
 }
 
 #[cfg(test)]
@@ -465,7 +612,7 @@ mod tests {
 
     #[test]
     fn fig2_3_quick_produces_both_figures() {
-        let s = fig2_3(true, 2);
+        let s = paper(Artifact::Fig2_3, true, 2);
         assert!(s.contains("Figure 2"));
         assert!(s.contains("Figure 3"));
         assert!(s.contains("delta"));
@@ -474,8 +621,17 @@ mod tests {
 
     #[test]
     fn tuned_pipeline_quick_smoke() {
-        let (t5, t6) = table5_6(true, 2);
-        assert!(t5.contains("HCPA"));
-        assert!(t6.contains("# not best"));
+        let s = paper(Artifact::Table5_6, true, 2);
+        assert!(s.contains("HCPA"));
+        assert!(s.contains("# not best"));
+    }
+
+    #[test]
+    fn artifact_names_round_trip() {
+        for (name, a) in Artifact::NAMES {
+            assert_eq!(a.name(), name);
+            assert_eq!(Artifact::from_name(name), Some(a));
+        }
+        assert_eq!(Artifact::from_name("table7"), None);
     }
 }

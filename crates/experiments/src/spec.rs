@@ -1,13 +1,14 @@
 //! Campaigns as data: a serde-backed experiment specification.
 //!
-//! A campaign used to be re-implemented imperatively inside every
-//! `src/bin/` target. [`ExperimentSpec`] turns it into a document — which
-//! suite, which clusters, which mapping strategies, which seed — that
-//! round-trips through TOML and JSON and executes with [`ExperimentSpec::run`].
-//! The `campaign` binary runs a spec file from disk:
+//! [`ExperimentSpec`] makes a campaign a document — which suite, which
+//! clusters, which mapping strategies, which seed — that round-trips
+//! through TOML and JSON and executes with [`ExperimentSpec::run`]. The
+//! paper's artifacts are built-in specs (see
+//! [`artifacts`](crate::artifacts)). The `campaign` binary runs a spec
+//! file from disk:
 //!
 //! ```text
-//! cargo run --release -p rats-experiments --bin campaign -- spec.toml
+//! cargo run --release -p rats-server --bin campaign -- spec.toml
 //! ```
 //!
 //! A TOML spec looks like:

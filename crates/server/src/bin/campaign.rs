@@ -35,6 +35,13 @@
 //!     worker exit if that process dies (the dispatcher passes its own
 //!     pid so killed dispatches do not leave orphan pollers).
 //!
+//! campaign paper [--quick] [--threads N] <artifact>
+//!     print one of the paper's artifacts — table2, table3, fig2_3, fig4,
+//!     fig5, table4, fig6_7, table5, table6, table5_6, all (every table
+//!     and figure in paper order) or ablation — by running the smallest
+//!     campaign that covers it in-process. --quick runs on the mini suite
+//!     instead of the 557-configuration paper suite.
+//!
 //! campaign describe <spec>
 //!     validate the spec and print its identity (suite tag, spec hash),
 //!     job-grid shape and population census — per-family scenario counts
@@ -108,6 +115,7 @@ use std::path::PathBuf;
 
 use rats_dispatch::worker::{run_worker, ChaosPhase, WorkerConfig};
 use rats_dispatch::{dispatch, replay_check, DispatchConfig, HostInventory};
+use rats_experiments::artifacts::{self, Artifact};
 use rats_experiments::grid::ShardSpec;
 use rats_experiments::shard::{merge_shards, run_shard};
 use rats_experiments::spec::{ExperimentSpec, SuiteSpec};
@@ -132,6 +140,9 @@ fn usage() -> ! {
          \x20                        [--metrics-out FILE]\n\
          \x20      campaign worker <ROOT> [--worker-id W] [--threads N]\n\
          \x20                        [--beat-ms MS] [--poll-ms MS] [--idle-timeout-ms MS]\n\
+         \x20      campaign paper [--quick] [--threads N] <artifact>\n\
+         \x20                        (table2 table3 fig2_3 fig4 fig5 table4 fig6_7\n\
+         \x20                         table5 table6 table5_6 all ablation)\n\
          \x20      campaign describe <spec>\n\
          \x20      campaign profile <spec> [--threads N]\n\
          \x20      campaign status <ROOT> [--stale-ms MS] [--json]\n\
@@ -235,6 +246,7 @@ fn main() {
         Some("merge") => cmd_merge(&args[1..]),
         Some("dispatch") => cmd_dispatch(&args[1..]),
         Some("worker") => cmd_worker(&args[1..]),
+        Some("paper") => cmd_paper(&args[1..]),
         Some("describe") => cmd_describe(&args[1..]),
         Some("profile") => cmd_profile(&args[1..]),
         Some("status") => cmd_status(&args[1..]),
@@ -354,12 +366,12 @@ fn cmd_merge(args: &[String]) {
             if is_sweep {
                 print!(
                     "\n{}",
-                    rats_experiments::artifacts::render_sweep(&cluster.cluster, &cluster.results)
+                    artifacts::render_sweep(&cluster.cluster, &cluster.results)
                 );
             } else if cluster.results.len() >= 2 {
                 print!(
                     "\n{}",
-                    rats_experiments::artifacts::render_relative_pair(
+                    artifacts::render_relative_pair(
                         &format!("relative makespan ({})", cluster.cluster),
                         &format!("relative work ({})", cluster.cluster),
                         &cluster.results,
@@ -471,6 +483,27 @@ fn cmd_dispatch(args: &[String]) {
     if let Some(path) = metrics_out {
         metrics_dump(&path);
     }
+}
+
+fn cmd_paper(args: &[String]) {
+    let mut artifact = None;
+    let mut quick = false;
+    let mut threads = None;
+    let mut rest = args.iter().cloned();
+    while let Some(a) = rest.next() {
+        match a.as_str() {
+            "--quick" => quick = true,
+            "--threads" => threads = Some(parse_threads(rest.next())),
+            other if artifact.is_none() && !other.starts_with('-') => {
+                artifact =
+                    Some(Artifact::from_name(other).unwrap_or_else(|| unknown("artifact", other)))
+            }
+            other => unknown("flag", other),
+        }
+    }
+    let artifact = artifact.unwrap_or_else(|| usage());
+    let threads = threads.unwrap_or_else(rats_experiments::runner::default_threads);
+    print!("{}", artifacts::paper(artifact, quick, threads));
 }
 
 fn cmd_describe(args: &[String]) {

@@ -340,20 +340,29 @@ pub fn write_line<T: Serialize>(w: &mut impl Write, message: &T) -> std::io::Res
     w.flush()
 }
 
-/// Reads one JSON line into a message. `Ok(None)` on clean EOF;
-/// a parse failure is an `InvalidData` error carrying the parser message.
+/// Reads one JSON line into a message, skipping blank lines. `Ok(None)` on
+/// clean EOF; EOF after blank lines is an `UnexpectedEof` error; a parse
+/// failure is an `InvalidData` error carrying the parser message.
 pub fn read_line<T: Deserialize>(r: &mut impl BufRead) -> std::io::Result<Option<T>> {
     let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
-        return Ok(None);
+    let mut skipped_blank = false;
+    loop {
+        line.clear();
+        if r.read_line(&mut line)? == 0 {
+            if skipped_blank {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "blank line then EOF",
+                ));
+            }
+            return Ok(None);
+        }
+        if !line.trim().is_empty() {
+            break;
+        }
+        skipped_blank = true;
     }
-    let trimmed = line.trim();
-    if trimmed.is_empty() {
-        return Ok(Some(read_line(r)?.ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "blank line then EOF")
-        })?));
-    }
-    serde_json::from_str(trimmed)
+    serde_json::from_str(line.trim())
         .map(Some)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
 }
@@ -490,5 +499,44 @@ mod tests {
             })
         );
         assert_eq!(read_line::<Request>(&mut r).unwrap(), None);
+    }
+
+    /// Runs `f` on a thread with the 2 MiB stack the server gives each
+    /// connection, so unbounded recursion aborts the test instead of
+    /// passing on a larger main-thread stack.
+    fn on_connection_stack<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    #[test]
+    fn blank_lines_are_skipped_without_recursion() {
+        let mut buf = b"\n  \n".to_vec();
+        write_line(&mut buf, &Request::Shutdown).unwrap();
+        let mut r = std::io::BufReader::new(&buf[..]);
+        assert_eq!(
+            read_line::<Request>(&mut r).unwrap(),
+            Some(Request::Shutdown)
+        );
+        let kind = on_connection_stack(|| {
+            let blanks = vec![b'\n'; 1_000_000];
+            read_line::<Request>(&mut &blanks[..]).unwrap_err().kind()
+        });
+        assert_eq!(kind, std::io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn deeply_nested_lines_are_invalid_data() {
+        let kind = on_connection_stack(|| {
+            let line = "[".repeat(500_000) + "\n";
+            read_line::<Request>(&mut line.as_bytes())
+                .unwrap_err()
+                .kind()
+        });
+        assert_eq!(kind, std::io::ErrorKind::InvalidData);
     }
 }

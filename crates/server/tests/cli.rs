@@ -77,6 +77,36 @@ fn serve_and_client_usage_errors_exit_2() {
     assert_eq!(output.status.code(), Some(1));
 }
 
+/// `campaign paper` prints an artifact exactly as the library renders it,
+/// and malformed requests follow the exit-2 usage convention.
+#[test]
+fn paper_prints_artifacts_and_rejects_unknown_ones() {
+    use rats_experiments::artifacts::{paper, Artifact};
+    let output = Command::new(campaign_exe())
+        .args(["paper", "table2"])
+        .output()
+        .unwrap();
+    assert!(output.status.success());
+    assert_eq!(
+        String::from_utf8(output.stdout).unwrap(),
+        paper(Artifact::Table2, false, 1)
+    );
+    let cases: &[&[&str]] = &[
+        &["paper"],
+        &["paper", "table7"],
+        &["paper", "fig4", "fig5"],
+        &["paper", "table4", "--thin", "2"],
+    ];
+    for args in cases {
+        let output = Command::new(campaign_exe()).args(*args).output().unwrap();
+        assert_eq!(output.status.code(), Some(2), "{args:?}");
+        assert!(
+            String::from_utf8_lossy(&output.stderr).contains("campaign paper"),
+            "{args:?} printed no usage"
+        );
+    }
+}
+
 /// The observability CLI through the real binary: `campaign profile`
 /// prints the report followed by the phase table, and `campaign run
 /// --metrics-out` dumps the registry as parseable JSON with the shard

@@ -176,20 +176,17 @@ pub fn simulate(dag: &TaskGraph, schedule: &Schedule, platform: &Platform) -> Si
         };
         now = t_next;
 
-        // 1. Network completions at `now`.
-        if next_net.is_some_and(|b| b <= now + 1e-15) {
-            for key in net.advance_to(now) {
-                let e = EdgeId::from_index(net.tag(key) as usize);
-                edge_flows[e.index()] -= 1;
-                if edge_flows[e.index()] == 0 {
-                    let dst = dag.edge(e).dst;
-                    pending_inputs[dst.index()] -= 1;
-                    edge_stats[e.index()].finish = now;
-                }
+        // 1. Network completions at `now`. The network clock moves in
+        // lock-step even when a task event set `now`, and a transfer ending
+        // within the engine's completion tolerance of it completes here.
+        for key in net.advance_to(now) {
+            let e = EdgeId::from_index(net.tag(key) as usize);
+            edge_flows[e.index()] -= 1;
+            if edge_flows[e.index()] == 0 {
+                let dst = dag.edge(e).dst;
+                pending_inputs[dst.index()] -= 1;
+                edge_stats[e.index()].finish = now;
             }
-        } else {
-            // Keep the network clock in lock-step (no events crossed).
-            let _ = net.advance_to(now);
         }
 
         // 2. Task completions at `now`.
@@ -269,6 +266,26 @@ mod tests {
                 .collect(),
             order,
         }
+    }
+
+    #[test]
+    fn transfers_finishing_at_a_task_event_are_not_lost() {
+        // Paper-suite scenario 523 (FFT, k = 16) under time-cost (minrho
+        // 0.8, packing) on grillon: a redistribution flow ends within the
+        // network engine's completion tolerance of a task-finish event, so
+        // advancing the network to that event completes it. Dropping that
+        // completion left two tasks waiting for input forever.
+        let dag = fft_dag(
+            16,
+            &CostParams::paper(),
+            suite::scenario_seed(20080929, 523),
+        );
+        let p = grillon();
+        let s = Scheduler::new(&p)
+            .strategy(MappingStrategy::rats_time_cost(0.8, true))
+            .schedule(&dag);
+        let out = simulate(&dag, &s, &p);
+        assert!(out.makespan.is_finite() && out.makespan > 0.0);
     }
 
     #[test]

@@ -7,8 +7,11 @@
 //! ```
 
 use rats::daggen::suite::{AppFamily, Scenario};
-use rats::experiments::campaign::PreparedScenario;
-use rats::experiments::tuning::{TuningSet, MAXDELTA_GRID, MINDELTA_GRID, MINRHO_GRID};
+use rats::experiments::campaign::{AlgoResults, PreparedScenario};
+use rats::experiments::parallel_map;
+use rats::experiments::tuning::{
+    sweep_strategies, sweep_tables, MAXDELTA_GRID, MINDELTA_GRID, MINRHO_GRID,
+};
 use rats::prelude::*;
 
 fn main() {
@@ -36,8 +39,16 @@ fn main() {
     let platform = Platform::from_spec(&ClusterSpec::grillon());
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let prepared = PreparedScenario::prepare(scenarios, &platform, threads);
-    // One baseline evaluation shared by every grid point below.
-    let tuning = TuningSet::new(&prepared, &platform, threads);
+    // Every grid point on the shared step-one allocations, the HCPA
+    // baseline first; the tables below are assembled from these results.
+    let results: Vec<AlgoResults> = sweep_strategies()
+        .into_iter()
+        .map(|strategy| AlgoResults {
+            name: strategy.name().to_string(),
+            runs: parallel_map(&prepared, threads, |_, p| p.evaluate(&platform, strategy)),
+        })
+        .collect();
+    let tables = sweep_tables(&results);
 
     // Figure 4 methodology: the (mindelta, maxdelta) surface.
     println!("delta surface (avg makespan relative to HCPA):");
@@ -46,8 +57,7 @@ fn main() {
         print!("  maxd={maxd:<5}");
     }
     println!();
-    let grid = tuning.delta_grid(threads);
-    for (i, row) in grid.iter().enumerate() {
+    for (i, row) in tables.delta_grid.iter().enumerate() {
         print!("{:>10}", format!("-{}", MINDELTA_GRID[i]));
         for v in row {
             print!("{v:>11.3}");
@@ -56,18 +66,17 @@ fn main() {
     }
 
     // Figure 5 methodology: the minrho curve.
-    let (with_packing, without_packing) = tuning.rho_curves(threads);
     println!("\nminrho curve (avg makespan relative to HCPA):");
     println!("{:>8} {:>10} {:>12}", "minrho", "packing", "no packing");
     for (i, rho) in MINRHO_GRID.iter().enumerate() {
         println!(
             "{rho:>8} {:>10.3} {:>12.3}",
-            with_packing[i], without_packing[i]
+            tables.rho_with_packing[i], tables.rho_without_packing[i]
         );
     }
 
     // The headline: the tuned triple for this workload.
-    let tuned = tuning.tune_family(threads);
+    let tuned = tables.tuned;
     println!(
         "\ntuned parameters for this workload: (mindelta, maxdelta, minrho) = \
          (-{}, {}, {})",

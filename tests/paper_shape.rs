@@ -1,9 +1,8 @@
 //! Seeded, scaled-down checks of the paper's headline claims.
 //!
 //! These are *shape* assertions (who wins, in which direction), not
-//! absolute-number reproductions: the full 557-configuration campaign lives
-//! in `rats-experiments` (`cargo run --release -p rats-experiments --bin
-//! all`) and its outcome is recorded in `EXPERIMENTS.md`.
+//! absolute-number reproductions: the full 557-configuration campaign runs
+//! with `campaign paper all` (the `campaign` binary of `rats-server`).
 
 use rats::daggen::{fft_dag, irregular_dag, layered_dag, strassen_dag, DagParams};
 use rats::prelude::*;
