@@ -15,8 +15,9 @@
 //! regeneration, and the round trip is bit-exact, so results are identical
 //! either way (pinned by tests here and by the dispatch equivalence tests).
 
+use std::borrow::Cow;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use rats_daggen::population::{read_population, write_population};
 use rats_daggen::suite::Scenario;
@@ -28,19 +29,23 @@ use crate::DispatchError;
 pub const CACHE_FILE: &str = "scenarios.cache";
 
 /// Writes the spec's scenario population cache under `root` if no valid
-/// cache is present. Returns `(path, written)` — `written` is `false` when
-/// a valid cache already existed.
-pub fn ensure_cache(root: &Path, spec: &ExperimentSpec) -> Result<(PathBuf, bool), DispatchError> {
-    let path = root.join(CACHE_FILE);
+/// cache is present, from `population` when the caller already holds it
+/// (a server's resident copy) and by generating it otherwise. Returns
+/// whether it wrote the file (`false`: a valid cache already existed).
+pub fn ensure_cache(
+    root: &Path,
+    spec: &ExperimentSpec,
+    population: Option<&[Scenario]>,
+) -> Result<bool, DispatchError> {
     if load_cache(root, spec).is_some() {
-        return Ok((path, false));
+        return Ok(false);
     }
-    let scenarios = spec.scenarios();
+    let scenarios = population.map_or_else(|| Cow::Owned(spec.scenarios()), Cow::Borrowed);
     let text = write_population(&scenarios, spec.seed, &spec.suite.name());
     let tmp = root.join(format!("{CACHE_FILE}.tmp-{}", std::process::id()));
     fs::write(&tmp, &text)?;
-    fs::rename(&tmp, &path)?;
-    Ok((path, true))
+    fs::rename(&tmp, root.join(CACHE_FILE))?;
+    Ok(true)
 }
 
 /// Loads the population cache for `spec` from `root`, or `None` when the
@@ -72,6 +77,7 @@ pub fn load_or_generate(root: &Path, spec: &ExperimentSpec) -> (Vec<Scenario>, b
 mod tests {
     use super::*;
     use rats_experiments::spec::SuiteSpec;
+    use std::path::PathBuf;
 
     fn temp_root(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("rats-cache-{tag}-{}", std::process::id()));
@@ -84,9 +90,8 @@ mod tests {
     fn cache_round_trips_and_is_idempotent() {
         let root = temp_root("roundtrip");
         let spec = ExperimentSpec::naive("c", "chti", SuiteSpec::Mini, 9);
-        let (_, written) = ensure_cache(&root, &spec).unwrap();
-        assert!(written);
-        let (_, written_again) = ensure_cache(&root, &spec).unwrap();
+        assert!(ensure_cache(&root, &spec, None).unwrap());
+        let written_again = ensure_cache(&root, &spec, None).unwrap();
         assert!(!written_again, "valid cache is reused");
         let (cached, from_cache) = load_or_generate(&root, &spec);
         assert!(from_cache);
@@ -97,6 +102,12 @@ mod tests {
             assert_eq!(a.family, b.family);
             assert_eq!(a.dag.num_tasks(), b.dag.num_tasks());
         }
+        // A cache written from a held population has the generated bytes.
+        let held = temp_root("roundtrip-held");
+        assert!(ensure_cache(&held, &spec, Some(&generated)).unwrap());
+        let bytes = |dir: &Path| fs::read(dir.join(CACHE_FILE)).unwrap();
+        assert_eq!(bytes(&held), bytes(&root));
+        fs::remove_dir_all(&held).unwrap();
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -104,7 +115,7 @@ mod tests {
     fn mismatched_or_corrupt_cache_falls_back() {
         let root = temp_root("fallback");
         let spec = ExperimentSpec::naive("c", "chti", SuiteSpec::Mini, 9);
-        ensure_cache(&root, &spec).unwrap();
+        ensure_cache(&root, &spec, None).unwrap();
         // A different seed must not accept this cache.
         let reseeded = ExperimentSpec::naive("c", "chti", SuiteSpec::Mini, 10);
         assert!(load_cache(&root, &reseeded).is_none());

@@ -4,10 +4,10 @@
 //!
 //! 1. **Plan** — [`HostInventory::plan`] picks the shard count and per-
 //!    worker thread budgets from capacity weights.
-//! 2. **Prepare** — the campaign root (`<out>/<name>-<hash8>/`) gets the
-//!    normalized spec, the shared scenario cache and the seeded work
-//!    queue. Everything is idempotent: re-dispatching a crashed campaign
-//!    resumes it.
+//! 2. **Prepare** — [`prepare_root`] gives the campaign root
+//!    (`<out>/<name>-<hash8>/`) the normalized spec, the shared scenario
+//!    cache and the seeded work queue. Everything is idempotent:
+//!    re-dispatching a crashed campaign resumes it.
 //! 3. **Spawn** — one `campaign worker` OS process per local worker plan
 //!    (remote plans are printed for the operator to start on their hosts).
 //! 4. **Watch** — the monitor loop observes lease heartbeats *by content
@@ -15,10 +15,13 @@
 //!    moving, sweeps conflict files, and respawns dead worker processes
 //!    while work remains — the pool is resizable in the sense of
 //!    arXiv:0706.2146: workers may join, die or be killed at any point.
-//! 5. **Merge** — when every job is done, all per-worker shard files are
-//!    merged through `merge_shards`, whose validation (coverage,
-//!    duplicates, seed, spec hash) guarantees the result is bit-identical
-//!    to the in-process [`ExperimentSpec::run`] outcome.
+//! 5. **Merge** — when every job is done, [`merge_root`] merges all
+//!    per-worker shard files; its validation (coverage, duplicates, seed,
+//!    spec hash) guarantees the result is bit-identical to the in-process
+//!    [`ExperimentSpec::run`] outcome.
+//!
+//! Steps 2 and 5, and the workers' leases, are the shared campaign-root
+//! lifecycle ([`crate::lifecycle`]) that `campaign serve` runs too.
 
 use std::collections::HashMap;
 use std::fs;
@@ -26,13 +29,14 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use rats_experiments::shard::{collect_shard_files, merge_shards, read_shard_file};
+use rats_experiments::shard::collect_shard_files;
 use rats_experiments::spec::{ExperimentSpec, SpecError, SpecOutcome};
 use rats_journal::{Event, Journal, JournalTail};
 
 use crate::inventory::{DispatchPlan, HostInventory, WorkerPlan};
+use crate::lifecycle::{merge_root, prepare_root, BEAT_MS};
 use crate::queue::WorkQueue;
-use crate::worker::{ChaosPhase, SHARDS_DIR, SPEC_FILE};
+use crate::worker::ChaosPhase;
 use crate::{sanitize, DispatchError};
 
 /// Everything [`dispatch`] needs besides the spec.
@@ -57,8 +61,6 @@ pub struct DispatchConfig {
     pub timeout_ms: u64,
     /// Respawn budget per worker slot.
     pub max_respawns: usize,
-    /// Write/use the shared scenario cache.
-    pub use_cache: bool,
     /// Override the per-worker thread budget from the plan.
     pub threads_override: Option<usize>,
     /// Fault injection: the first spawned worker gets this chaos phase
@@ -77,12 +79,11 @@ impl DispatchConfig {
             out: out.into(),
             inventory,
             oversub: 4,
-            beat_ms: 200,
+            beat_ms: BEAT_MS,
             poll_ms: 100,
             stale_ms: 5_000,
             timeout_ms: 0,
             max_respawns: 3,
-            use_cache: true,
             threads_override: None,
             chaos: None,
             worker_exe: None,
@@ -158,19 +159,8 @@ pub fn dispatch(
     let normalized = spec.normalized();
     let plan = cfg.inventory.plan(normalized.grid().len(), cfg.oversub)?;
 
-    // Prepare the campaign root: spec, cache, queue. All idempotent.
     let root = campaign_root(&cfg.out, &normalized);
-    fs::create_dir_all(root.join(SHARDS_DIR))?;
-    let spec_path = root.join(SPEC_FILE);
-    let spec_tmp = root.join(format!("{SPEC_FILE}.tmp-{}", std::process::id()));
-    fs::write(&spec_tmp, format!("{}\n", normalized.to_json()))?;
-    fs::rename(&spec_tmp, &spec_path)?;
-    let cache_written = if cfg.use_cache {
-        crate::cache::ensure_cache(&root, &normalized)?.1
-    } else {
-        false
-    };
-    let queue = WorkQueue::init(&root, &normalized, plan.shard_count)?;
+    let (queue, cache_written) = prepare_root(&root, &normalized, plan.shard_count, None)?;
 
     // The dispatcher's own journal segment, plus a tail over everyone
     // else's so worker-side events (notably partial-shard adoptions)
@@ -290,21 +280,7 @@ pub fn dispatch(
             });
         }
 
-        // Surface worker-side journal events worth a live notice.
-        for (writer, event) in tail.poll() {
-            if let Event::AdoptedPartial {
-                job,
-                donor,
-                records,
-                ..
-            } = event
-            {
-                eprintln!(
-                    "dispatch: worker `{writer}` adopted {records} committed record(s) \
-                     from dead worker `{donor}` for job {job}"
-                );
-            }
-        }
+        notice_adoptions(&mut tail);
 
         // A job with no file in any state was deleted externally (a rename
         // in flight can hide a job for one scan, never two): re-seed its
@@ -460,6 +436,19 @@ fn finish(
     }
     // One last tail drain so adoptions landing in the final beat still get
     // their notice before the merge summary.
+    notice_adoptions(tail);
+
+    let merged = merge_root(root)?;
+    journal.emit(Event::MergeCompleted {
+        shard_files: merged.shard_files as u64,
+        records: merged.outcome.spec.grid().len(),
+    });
+    Ok(merged.outcome)
+}
+
+/// Surfaces the worker-side journal events worth a live notice: partial
+/// shard files adopted from dead workers.
+fn notice_adoptions(tail: &mut JournalTail) {
     for (writer, event) in tail.poll() {
         if let Event::AdoptedPartial {
             job,
@@ -474,35 +463,6 @@ fn finish(
             );
         }
     }
-
-    // A worker killed before its manifest committed can leave an empty or
-    // torn-line-1 shard file (only possible for files written by builds
-    // predating the atomic manifest write — but garbage on a shared
-    // directory is forever). No record can live in such a file, so skip
-    // it rather than wedge the merge; coverage validation still catches
-    // any job that is genuinely missing.
-    let mut paths = Vec::new();
-    for path in collect_shard_files_recursive(&root.join(SHARDS_DIR))? {
-        match read_shard_file(&path) {
-            Ok(_) => paths.push(path),
-            Err(e) => {
-                let lines = fs::read_to_string(&path)
-                    .map(|t| t.lines().count())
-                    .unwrap_or(0);
-                if lines <= 1 {
-                    eprintln!("dispatch: skipping pre-manifest shard wreck {path:?} ({e})");
-                } else {
-                    return Err(e.into());
-                }
-            }
-        }
-    }
-    let outcome = merge_shards(&paths)?;
-    journal.emit(Event::MergeCompleted {
-        shard_files: paths.len() as u64,
-        records: outcome.spec.grid().len(),
-    });
-    Ok(outcome)
 }
 
 fn kill_all(procs: &mut Vec<WorkerProc>) {

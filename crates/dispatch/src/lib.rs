@@ -21,8 +21,12 @@
 //! * [`cache`] — the shared scenario cache: the population is generated
 //!   once, serialized under the manifest directory
 //!   (`rats_daggen::population`), and read back by every worker.
-//! * [`worker`] — the worker loop: claim → adopt partial output from dead
-//!   predecessors → execute via the durable shard engine → mark done.
+//! * [`lifecycle`] — the campaign-root lifecycle the dispatcher, the
+//!   workers and `campaign serve` share: [`prepare_root`] (spec, cache,
+//!   queue), [`run_lease`] (claim → adopt partial output from dead
+//!   predecessors → execute via the durable shard engine while
+//!   heartbeating → mark done) and [`merge_root`].
+//! * [`worker`] — the worker loop: [`run_lease`] until every job is done.
 //! * [`status`] — read-only observability: scan a campaign's queue
 //!   directory and report per-job state, stale-lease hints and progress
 //!   (the `campaign status` subcommand) without touching anything.
@@ -51,6 +55,7 @@ use rats_experiments::spec::SpecError;
 pub mod cache;
 pub mod dispatcher;
 pub mod inventory;
+pub mod lifecycle;
 pub mod queue;
 pub mod replay_check;
 pub mod status;
@@ -60,6 +65,7 @@ pub mod worker;
 pub use cache::{ensure_cache, load_cache, CACHE_FILE};
 pub use dispatcher::{campaign_root, dispatch, DispatchConfig, DispatchReport};
 pub use inventory::{DispatchPlan, HostInventory, HostSpec, InventoryError, WorkerPlan};
+pub use lifecycle::{merge_root, prepare_root, run_lease, LeaseHolder, RootMerge};
 pub use queue::{JobState, Lease, QueueError, QueueStatus, WorkQueue};
 pub use replay_check::{replay_check, ReplayCheckReport};
 pub use status::{campaign_status, CampaignStatus, JobView, JournalInsight};

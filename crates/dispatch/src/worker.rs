@@ -19,14 +19,14 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use rats_daggen::suite::Scenario;
-use rats_experiments::shard::{read_shard_file, run_shard_hooked, shard_file_name, ShardHooks};
+use rats_experiments::shard::{run_shard_hooked, shard_file_name, ShardHooks};
 use rats_experiments::spec::ExperimentSpec;
 use rats_journal::{Event, Journal};
 
+use crate::lifecycle::{run_lease, LeaseHolder, BEAT_MS};
 use crate::queue::{Lease, WorkQueue};
 use crate::{sanitize, DispatchError};
 
@@ -113,7 +113,7 @@ impl WorkerConfig {
             root: root.into(),
             worker_id: sanitize(worker_id),
             threads: 1,
-            beat_ms: 200,
+            beat_ms: BEAT_MS,
             poll_ms: 100,
             idle_timeout_ms: 0,
             parent_pid: None,
@@ -154,31 +154,28 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, DispatchError> {
     journal.emit(Event::PopulationLoaded {
         from_cache: used_cache,
     });
-    let my_dir = cfg.root.join(SHARDS_DIR).join(&cfg.worker_id);
-    fs::create_dir_all(&my_dir)?;
+    let mut holder = LeaseHolder {
+        id: cfg.worker_id.clone(),
+        shard_dir: cfg.root.join(SHARDS_DIR).join(&cfg.worker_id),
+        threads: cfg.threads,
+        beat_ms: cfg.beat_ms,
+        take_over: false,
+        chaos: cfg.chaos,
+    };
 
     let mut report = WorkerReport {
         used_cache,
         ..WorkerReport::default()
     };
-    let mut chaos = cfg.chaos;
     let mut last_progress = Instant::now();
     loop {
-        match queue.claim(&cfg.worker_id)? {
-            Some(lease) => {
+        let hooks = ShardHooks {
+            scenarios: Some(&scenarios),
+            ..ShardHooks::default()
+        };
+        match run_lease(&spec, &queue, &mut holder, &mut journal, hooks)? {
+            Some((run, kept)) => {
                 last_progress = Instant::now();
-                // Journal the claim before any chaos injection: a worker
-                // that dies right after claiming has still claimed, and its
-                // segment must say so for replay to match the live queue.
-                journal.emit(Event::JobClaimed {
-                    job: lease.job as u64,
-                    worker: lease.worker.clone(),
-                });
-                if let Some(phase) = chaos.take() {
-                    inject_chaos(phase, &spec, &lease, &my_dir, cfg.threads, &scenarios)?;
-                }
-                let (run, kept) =
-                    execute_lease(&spec, &queue, lease, &my_dir, cfg, &scenarios, &mut journal)?;
                 report.executed += run.executed;
                 report.resumed += run.skipped;
                 if kept {
@@ -220,162 +217,19 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, DispatchError> {
     Ok(report)
 }
 
-/// Runs one leased shard with a heartbeat thread alive for the duration,
-/// then marks it done. Returns the shard run and whether the lease was
-/// still ours at completion.
-fn execute_lease(
-    spec: &ExperimentSpec,
-    queue: &WorkQueue,
-    lease: Lease,
-    my_dir: &Path,
-    cfg: &WorkerConfig,
-    scenarios: &[Scenario],
-    journal: &mut Journal,
-) -> Result<(rats_experiments::shard::ShardRun, bool), DispatchError> {
-    let mut shard_spec = spec.clone();
-    shard_spec.shard = Some(lease.shard());
-    if let Some((donor, records)) =
-        adopt_partial_output(&cfg.root, &cfg.worker_id, &shard_spec, my_dir)
-    {
-        journal.emit(Event::AdoptedPartial {
-            job: lease.job as u64,
-            worker: lease.worker.clone(),
-            donor,
-            records: records as u64,
-        });
-    }
-
-    let stop = AtomicBool::new(false);
-    let run = std::thread::scope(|scope| {
-        let mut beater = lease.clone();
-        let beat_ms = cfg.beat_ms.max(1);
-        let stop = &stop;
-        scope.spawn(move || {
-            // Sleep in short slices so a finished shard stops the beater
-            // promptly even with long beat periods.
-            let slice = Duration::from_millis(beat_ms.min(25));
-            let mut elapsed = Duration::ZERO;
-            let period = Duration::from_millis(beat_ms);
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(slice);
-                elapsed += slice;
-                if elapsed >= period {
-                    elapsed = Duration::ZERO;
-                    match beater.beat() {
-                        Ok(true) => {}
-                        // Lease gone (reclaimed) or unreachable: stop
-                        // beating; the main thread finds out via mark_done.
-                        Ok(false) | Err(_) => break,
-                    }
-                }
-            }
-        });
-        let run = run_shard_hooked(
-            &shard_spec,
-            my_dir,
-            Some(cfg.threads),
-            ShardHooks {
-                scenarios: Some(scenarios),
-                journal: Some(&mut *journal),
-                ..ShardHooks::default()
-            },
-        );
-        stop.store(true, Ordering::Relaxed);
-        run
-    })?;
-    let kept = queue.mark_done(&lease)?;
-    if kept {
-        journal.emit(Event::JobDone {
-            job: lease.job as u64,
-            worker: lease.worker.clone(),
-        });
-    } else {
-        journal.emit(Event::LeaseLost {
-            job: lease.job as u64,
-            worker: lease.worker.clone(),
-        });
-    }
-    Ok((run, kept))
-}
-
-/// Seeds this worker's shard file from the most advanced copy another
-/// worker (typically a dead one) left behind, so resumed shards skip the
-/// jobs already committed instead of recomputing the whole shard. Purely
-/// best-effort: on any doubt the copy is discarded and the shard runs from
-/// scratch. On success returns the donor worker's directory name and how
-/// many committed records the adopted copy held.
-fn adopt_partial_output(
-    root: &Path,
-    worker_id: &str,
-    shard_spec: &ExperimentSpec,
-    my_dir: &Path,
-) -> Option<(String, usize)> {
-    let file_name = shard_file_name(shard_spec);
-    let mine = my_dir.join(&file_name);
-    if mine.exists() {
-        return None; // Our own previous attempt; run_shard resumes it directly.
-    }
-    let entries = fs::read_dir(root.join(SHARDS_DIR)).ok()?;
-    let expected_hash = shard_spec.spec_hash();
-    let mut best: Option<(usize, String, PathBuf)> = None;
-    for entry in entries.flatten() {
-        let dir = entry.path();
-        if dir.file_name().is_some_and(|n| n == worker_id) || !dir.is_dir() {
-            continue;
-        }
-        let candidate = dir.join(&file_name);
-        let Ok(loaded) = read_shard_file(&candidate) else {
-            continue;
-        };
-        if loaded.manifest.spec_hash != expected_hash
-            || loaded.manifest.shard != shard_spec.shard.unwrap_or_default()
-        {
-            continue;
-        }
-        let records = loaded.records.len();
-        if best.as_ref().is_none_or(|(n, _, _)| records > *n) {
-            let donor = dir
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            best = Some((records, donor, candidate));
-        }
-    }
-    let (records, donor, source) = best?;
-    // Copy through a temp file so our directory never holds a torn file,
-    // then re-validate the copy (the source may be mid-append; a torn
-    // *final* line is fine — the shard engine drops and re-runs it).
-    let tmp = my_dir.join(format!("{file_name}.adopt-tmp"));
-    if fs::copy(&source, &tmp).is_err() {
-        let _ = fs::remove_file(&tmp);
-        return None;
-    }
-    if read_shard_file(&tmp).is_err() {
-        let _ = fs::remove_file(&tmp);
-        return None;
-    }
-    if fs::rename(&tmp, &mine).is_err() {
-        let _ = fs::remove_file(&tmp);
-        return None;
-    }
-    Some((donor, records))
-}
-
 /// Reproduces a worker death at a precise point of its first claim, then
 /// aborts the process (no unwinding, no lease cleanup — the closest safe
 /// approximation of `kill -9` that a test can trigger deterministically).
-fn inject_chaos(
+pub(crate) fn inject_chaos(
     phase: ChaosPhase,
-    spec: &ExperimentSpec,
+    shard_spec: &ExperimentSpec,
     lease: &Lease,
     my_dir: &Path,
     threads: usize,
-    scenarios: &[Scenario],
+    scenarios: Option<&[Scenario]>,
 ) -> Result<(), DispatchError> {
-    let mut shard_spec = spec.clone();
-    shard_spec.shard = Some(lease.shard());
     let hooks = || ShardHooks {
-        scenarios: Some(scenarios),
+        scenarios,
         ..ShardHooks::default()
     };
     match phase {
@@ -384,16 +238,16 @@ fn inject_chaos(
             // Run the real executor far enough to commit the manifest, then
             // strip the records: the on-disk state is exactly "died between
             // manifest write and first record".
-            run_shard_hooked(&shard_spec, my_dir, Some(threads), hooks())?;
-            let path = my_dir.join(shard_file_name(&shard_spec));
+            run_shard_hooked(shard_spec, my_dir, Some(threads), hooks())?;
+            let path = my_dir.join(shard_file_name(shard_spec));
             let text = fs::read_to_string(&path)?;
             let manifest_line = text.lines().next().unwrap_or_default();
             fs::write(&path, format!("{manifest_line}\n"))?;
         }
         ChaosPhase::Partial => {
             // Commit roughly half the records and tear the next line.
-            run_shard_hooked(&shard_spec, my_dir, Some(threads), hooks())?;
-            let path = my_dir.join(shard_file_name(&shard_spec));
+            run_shard_hooked(shard_spec, my_dir, Some(threads), hooks())?;
+            let path = my_dir.join(shard_file_name(shard_spec));
             let text = fs::read_to_string(&path)?;
             let lines: Vec<&str> = text.lines().collect();
             let keep = 1 + (lines.len() - 1) / 2;

@@ -80,8 +80,7 @@ fn valid_cache_is_used_and_round_trips_custom_populations() {
     let spec = custom_spec(41);
     let reference = spec.run().unwrap();
     let normalized = spec.normalized();
-    let (_, written) = ensure_cache(&root, &normalized).unwrap();
-    assert!(written);
+    assert!(ensure_cache(&root, &normalized, None).unwrap());
     // The cached custom population is bit-exactly what the spec generates.
     let cached = load_cache(&root, &normalized).expect("fresh cache must load");
     let generated = normalized.scenarios();
@@ -105,7 +104,7 @@ fn digest_mismatched_cache_falls_back_to_regeneration() {
     let spec = custom_spec(42);
     let reference = spec.run().unwrap();
     let normalized = spec.normalized();
-    ensure_cache(&root, &normalized).unwrap();
+    ensure_cache(&root, &normalized, None).unwrap();
     // Flip content without touching the digest trailer.
     let path = root.join(CACHE_FILE);
     let text = fs::read_to_string(&path).unwrap();
@@ -124,7 +123,7 @@ fn truncated_cache_falls_back_to_regeneration() {
     let spec = custom_spec(43);
     let reference = spec.run().unwrap();
     let normalized = spec.normalized();
-    ensure_cache(&root, &normalized).unwrap();
+    ensure_cache(&root, &normalized, None).unwrap();
     // A torn write: half the file, no digest trailer.
     let path = root.join(CACHE_FILE);
     let text = fs::read_to_string(&path).unwrap();
@@ -148,7 +147,7 @@ fn sibling_campaigns_cache_is_rejected_by_identity() {
         w.families[0].branches = rats_workloads::IntDist::Fixed(4);
     }
     assert_eq!(spec.suite.len(), other.suite.len());
-    ensure_cache(&root, &other.normalized()).unwrap();
+    ensure_cache(&root, &other.normalized(), None).unwrap();
     assert!(
         load_cache(&root, &spec.normalized()).is_none(),
         "a sibling workload's population must not be served"

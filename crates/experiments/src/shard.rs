@@ -631,6 +631,16 @@ pub fn merge_shards(paths: &[PathBuf]) -> Result<SpecOutcome, MergeError> {
     for path in paths {
         files.push((path.clone(), read_shard_file(path)?));
     }
+    Ok(merge_shard_files(files)?.0)
+}
+
+/// [`merge_shards`] over shard files already read, each paired with its
+/// path. Also returns the merged records, one per job in job-id order (the
+/// first copy in file order), so a caller that streams them needs no
+/// second read.
+pub fn merge_shard_files(
+    files: Vec<(PathBuf, ShardFile)>,
+) -> Result<(SpecOutcome, Vec<RunRecord>), MergeError> {
     let Some((_, reference)) = files.first() else {
         return Err(MergeError::NoShards);
     };
@@ -723,7 +733,7 @@ pub fn merge_shards(paths: &[PathBuf]) -> Result<SpecOutcome, MergeError> {
     }
 
     let records: Vec<RunRecord> = by_job.into_values().collect();
-    Ok(fold_records(spec, &records)?)
+    Ok((fold_records(spec, &records)?, records))
 }
 
 #[cfg(test)]

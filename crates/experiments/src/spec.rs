@@ -624,6 +624,27 @@ mod tests {
         }
     }
 
+    /// The vendored TOML parser is flat: an inline array holding a `[` is
+    /// rejected at depth 1, so no nesting depth can recurse. Run on a small
+    /// stack so a recursive parser would abort the test instead of passing.
+    #[test]
+    fn deeply_nested_toml_values_are_errors() {
+        let results = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let open = "[".repeat(100_000);
+                [open.clone(), open + &"]".repeat(100_000)].map(|value| {
+                    ExperimentSpec::from_toml(&format!("name = {value}\n")).map(|_| ())
+                })
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        for result in results {
+            assert!(matches!(result, Err(SpecError::Parse(_))), "{result:?}");
+        }
+    }
+
     #[test]
     fn rejects_bad_documents() {
         assert!(matches!(

@@ -21,7 +21,7 @@
 //!
 //! campaign dispatch <spec> [--inventory hosts.toml] [--workers N]
 //!         [--out DIR] [--oversub K] [--threads N] [--beat-ms MS]
-//!         [--stale-ms MS] [--poll-ms MS] [--timeout-ms MS] [--no-cache]
+//!         [--stale-ms MS] [--poll-ms MS] [--timeout-ms MS]
 //!         [--chaos claim|manifest|partial] [--metrics-out FILE]
 //!     plan shard counts and thread budgets from the host inventory, spawn
 //!     local `campaign worker` processes, watch their lease heartbeats,
@@ -136,7 +136,7 @@ fn usage() -> ! {
          \x20      campaign dispatch <spec> [--inventory hosts.toml] [--workers N]\n\
          \x20                        [--out DIR] [--oversub K] [--threads N]\n\
          \x20                        [--beat-ms MS] [--stale-ms MS] [--poll-ms MS]\n\
-         \x20                        [--timeout-ms MS] [--no-cache] [--chaos PHASE]\n\
+         \x20                        [--timeout-ms MS] [--chaos PHASE]\n\
          \x20                        [--metrics-out FILE]\n\
          \x20      campaign worker <ROOT> [--worker-id W] [--threads N]\n\
          \x20                        [--beat-ms MS] [--poll-ms MS] [--idle-timeout-ms MS]\n\
@@ -423,7 +423,6 @@ fn cmd_dispatch(args: &[String]) {
             "--stale-ms" => cfg.stale_ms = parse_ms("--stale-ms", rest.next()),
             "--poll-ms" => cfg.poll_ms = parse_ms("--poll-ms", rest.next()),
             "--timeout-ms" => cfg.timeout_ms = parse_ms("--timeout-ms", rest.next()),
-            "--no-cache" => cfg.use_cache = false,
             "--metrics-out" => {
                 metrics_out = Some(
                     rest.next()

@@ -13,8 +13,10 @@
 //!
 //! The durable substrate is unchanged: every submission materializes a
 //! normal campaign root (spec.json, scenarios.cache, filesystem queue,
-//! hash-chained journal), so served campaigns resume after crashes and
-//! remain inspectable by the batch tooling — and the merged outcome is
+//! hash-chained journal) through the campaign-root lifecycle the batch
+//! dispatcher and its workers run (`rats_dispatch::lifecycle`: prepare,
+//! lease, merge), so served campaigns resume after crashes and remain
+//! inspectable by the batch tooling — and the merged outcome is
 //! **bit-identical** to batch `spec.run()`, pinned by tests.
 //!
 //! Module map:
@@ -23,7 +25,8 @@
 //! * [`warm`] — LRU-bounded population + allocation caches with
 //!   hit/miss/eviction counters.
 //! * [`protocol`] — the wire messages and line framing.
-//! * [`server`] — the accept loop, the submit flow, status/cancel.
+//! * [`server`] — the accept loop, the submit flow (one shared-lifecycle
+//!   lease per submission), status/cancel.
 //! * [`client`] — the thin client the CLI and the tests drive.
 //! * [`telemetry`] — server metrics plus [`telemetry::register_all`],
 //!   the one-call registration of every instrumented layer.

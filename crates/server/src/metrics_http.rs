@@ -6,9 +6,14 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// The Prometheus text exposition content type.
 pub const CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
+
+/// Read and write timeout of one scrape connection: the most an idle or
+/// stalled peer can delay the scrapes queued behind it.
+pub const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Binds `addr` and serves `GET /metrics` forever on a background thread,
 /// rendering the body with `body` per request. Returns the bound address
@@ -32,6 +37,8 @@ pub fn spawn_metrics_listener(
 
 /// Reads one request, writes one response, closes the connection.
 fn serve_one(stream: TcpStream, body: &(dyn Fn() -> String + Send + Sync)) -> std::io::Result<()> {
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
@@ -69,4 +76,31 @@ fn respond(
         body.len()
     )?;
     w.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+
+    #[test]
+    fn an_idle_connection_does_not_block_scrapes() {
+        let addr = spawn_metrics_listener("127.0.0.1:0", Arc::new(|| "up 1\n".to_string()))
+            .expect("bind an ephemeral port");
+        // Connected, never sends a byte, held open past the whole scrape.
+        let idle = TcpStream::connect(addr).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        let mut scrape = TcpStream::connect(addr).unwrap();
+        scrape
+            .set_read_timeout(Some(IO_TIMEOUT * 5))
+            .expect("client timeout");
+        write!(scrape, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        let mut response = String::new();
+        scrape
+            .read_to_string(&mut response)
+            .expect("the scrape is answered while the idle socket is open");
+        assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
+        assert!(response.ends_with("up 1\n"), "{response}");
+        drop(idle);
+    }
 }

@@ -18,7 +18,7 @@
 //! byte-preserving — so the stream a client reassembles is bit-identical
 //! to the shard file the server committed.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 use serde::{Deserialize, Error, Serialize, Value};
 
@@ -340,15 +340,28 @@ pub fn write_line<T: Serialize>(w: &mut impl Write, message: &T) -> std::io::Res
     w.flush()
 }
 
+/// The longest line [`read_line`] accepts, newline included: far above
+/// any real spec or report, and all one peer can make a connection buffer.
+pub const MAX_LINE_BYTES: usize = 64 << 20;
+
 /// Reads one JSON line into a message, skipping blank lines. `Ok(None)` on
 /// clean EOF; EOF after blank lines is an `UnexpectedEof` error; a parse
-/// failure is an `InvalidData` error carrying the parser message.
+/// failure, or a line longer than [`MAX_LINE_BYTES`], is an `InvalidData`
+/// error (the rest of an over-long line is left unread).
 pub fn read_line<T: Deserialize>(r: &mut impl BufRead) -> std::io::Result<Option<T>> {
+    read_line_capped(r, MAX_LINE_BYTES)
+}
+
+fn read_line_capped<T: Deserialize>(
+    r: &mut impl BufRead,
+    cap: usize,
+) -> std::io::Result<Option<T>> {
+    let invalid = |message: String| std::io::Error::new(std::io::ErrorKind::InvalidData, message);
     let mut line = String::new();
     let mut skipped_blank = false;
     loop {
         line.clear();
-        if r.read_line(&mut line)? == 0 {
+        if Read::take(&mut *r, cap as u64 + 1).read_line(&mut line)? == 0 {
             if skipped_blank {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
@@ -357,6 +370,9 @@ pub fn read_line<T: Deserialize>(r: &mut impl BufRead) -> std::io::Result<Option
             }
             return Ok(None);
         }
+        if line.len() > cap {
+            return Err(invalid(format!("line exceeds {cap} bytes")));
+        }
         if !line.trim().is_empty() {
             break;
         }
@@ -364,7 +380,7 @@ pub fn read_line<T: Deserialize>(r: &mut impl BufRead) -> std::io::Result<Option
     }
     serde_json::from_str(line.trim())
         .map(Some)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+        .map_err(|e| invalid(e.to_string()))
 }
 
 #[cfg(test)]
@@ -538,5 +554,27 @@ mod tests {
                 .kind()
         });
         assert_eq!(kind, std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn lines_past_the_cap_are_invalid_data_and_not_buffered() {
+        let cap = 1024;
+        let long = "[".repeat(4 * cap);
+        let mut rest = long.as_bytes();
+        let err = read_line_capped::<Request>(&mut rest, cap).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("exceeds"), "{err}");
+        assert_eq!(
+            long.len() - rest.len(),
+            cap + 1,
+            "reading stops one byte past the cap"
+        );
+        // A line of exactly the cap, newline included, still parses.
+        let mut line = Vec::new();
+        write_line(&mut line, &Request::Shutdown).unwrap();
+        assert_eq!(
+            read_line_capped::<Request>(&mut &line[..], line.len()).unwrap(),
+            Some(Request::Shutdown)
+        );
     }
 }

@@ -5,11 +5,12 @@
 //! [`WarmState`](crate::warm::WarmState); every connection gets a thread,
 //! and any number of campaigns multiplex over the shared fleet. The
 //! filesystem queue + journal stay the durable substrate — each submission
-//! materializes a normal campaign root under the server's `out` directory
-//! (spec.json, scenarios.cache, queue/, shards/, journal/), so everything
-//! the batch tooling understands (`campaign status`, `campaign replay`,
-//! `campaign merge`) works on a served campaign, and a server crash loses
-//! no committed work: resubmitting the same spec resumes from disk.
+//! runs the batch dispatcher's campaign-root lifecycle under the server's
+//! `out` directory ([`prepare_root`], one [`run_lease`] on the warm fleet,
+//! [`merge_root`]), so everything the batch tooling understands (`campaign
+//! status`, `campaign replay`, `campaign merge`) works on a served
+//! campaign, and a server crash loses no committed work: resubmitting the
+//! same spec takes the dead server's lease over and resumes from disk.
 //!
 //! Determinism contract: the merged outcome of a served campaign is
 //! **bit-identical** to batch [`ExperimentSpec::run`] — warm populations
@@ -18,21 +19,18 @@
 //! The serve/batch equivalence tests pin this.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use rats_dispatch::cache::load_cache;
-use rats_dispatch::dispatcher::{campaign_root, collect_shard_files_recursive};
-use rats_dispatch::queue::WorkQueue;
+use rats_dispatch::dispatcher::campaign_root;
+use rats_dispatch::lifecycle::{merge_root, prepare_root, run_lease, LeaseHolder, BEAT_MS};
 use rats_dispatch::status::campaign_status;
-use rats_dispatch::worker::{SHARDS_DIR, SPEC_FILE};
-use rats_dispatch::CACHE_FILE;
+use rats_dispatch::worker::SHARDS_DIR;
 use rats_experiments::record::RunRecord;
-use rats_experiments::shard::{merge_shards, read_shard_file, run_shard_hooked, ShardHooks};
+use rats_experiments::shard::ShardHooks;
 use rats_experiments::spec::ExperimentSpec;
 use rats_journal::{Event, Journal};
 use serde::{Serialize, Value};
@@ -315,16 +313,9 @@ fn server_status(state: &ServerState) -> Value {
     t
 }
 
-/// Atomic file publication (tmp + rename), the same pattern the batch
-/// dispatcher uses for spec.json and the cache.
-fn write_atomic(path: &Path, content: &str) -> std::io::Result<()> {
-    let tmp = path.with_extension(format!("tmp-{}", std::process::id()));
-    fs::write(&tmp, content)?;
-    fs::rename(&tmp, path)
-}
-
-/// The whole submit flow: materialize the campaign root, execute (or
-/// resume) on the warm fleet while streaming records, merge, report.
+/// The whole submit flow: prepare the campaign root, run (or resume) its
+/// one lease on the warm fleet while streaming records, merge, report —
+/// all through the campaign-root lifecycle the batch dispatcher uses.
 fn handle_submit(
     state: &Arc<ServerState>,
     client: &str,
@@ -361,32 +352,13 @@ fn handle_submit(
     let _gate = handle.gate.lock().unwrap_or_else(|e| e.into_inner());
     handle.cancel.store(false, Ordering::SeqCst);
 
-    // Materialize the campaign root exactly like the batch dispatcher:
-    // normalized spec, population cache, seeded queue — all idempotent.
-    let shard_dir = root.join(SHARDS_DIR).join("serve");
-    if let Err(e) = fs::create_dir_all(&shard_dir) {
-        return fail(w, format!("creating campaign root {root:?}: {e}"));
-    }
-    if let Err(e) = write_atomic(&root.join(SPEC_FILE), &format!("{}\n", spec.to_json())) {
-        return fail(w, format!("writing spec.json: {e}"));
-    }
-    let (population, warm_hit) = state.warm.population(&spec);
     // The on-disk cache is written from the *resident* population — no
     // regeneration — so batch tools attached to this root see the exact
     // bytes a cold dispatch would have written.
-    let cache_written = if load_cache(&root, &spec).is_none() {
-        let text =
-            rats_daggen::population::write_population(&population, spec.seed, &spec.suite.name());
-        if let Err(e) = write_atomic(&root.join(CACHE_FILE), &text) {
-            return fail(w, format!("writing scenario cache: {e}"));
-        }
-        true
-    } else {
-        false
-    };
-    let queue = match WorkQueue::init(&root, &spec, 1) {
-        Ok(q) => q,
-        Err(e) => return fail(w, e.to_string()),
+    let (population, warm_hit) = state.warm.population(&spec);
+    let (queue, cache_written) = match prepare_root(&root, &spec, 1, Some(&population)) {
+        Ok(prepared) => prepared,
+        Err(e) => return fail(w, format!("preparing campaign root {root:?}: {e}")),
     };
 
     let submission = state.submissions.fetch_add(1, Ordering::SeqCst) + 1;
@@ -415,172 +387,86 @@ fn handle_submit(
         },
     )?;
 
-    // Claim the campaign's single queue job. `None` + not-all-done means a
-    // previous server process died holding the lease: reclaim and retry —
-    // the shard file's committed records are still resumed.
-    let mut lease = match queue.claim(&writer_id) {
-        Ok(l) => l,
-        Err(e) => return fail(w, e.to_string()),
+    // Run the campaign's single queue job, taking over a dead server's
+    // lease (its committed records are resumed). `None`: the job is done
+    // already — a warm resubmission, served from disk below.
+    let mut holder = LeaseHolder {
+        id: writer_id,
+        shard_dir: root.join(SHARDS_DIR).join("serve"),
+        threads: state.fleet.width(),
+        beat_ms: BEAT_MS,
+        take_over: true,
+        chaos: None,
     };
-    if lease.is_none() {
-        let files = match queue.scan() {
-            Ok(f) => f,
-            Err(e) => return fail(w, e.to_string()),
-        };
-        if !queue.status_of(&files).all_done() {
-            for (job, f) in &files {
-                if f.done {
-                    continue;
-                }
-                for worker in &f.claims {
-                    if queue.reclaim(*job, worker).unwrap_or(false) {
-                        journal.emit(Event::LeaseReclaimed {
-                            job: *job as u64,
-                            worker: worker.clone(),
-                        });
-                    }
-                }
-            }
-            lease = match queue.claim(&writer_id) {
-                Ok(l) => l,
-                Err(e) => return fail(w, e.to_string()),
-            };
-        }
-    }
-
     let mut streamed_jobs: BTreeSet<u64> = BTreeSet::new();
     let mut streamed: u64 = 0;
+    let lease = {
+        let cancel_on_stream_loss = &handle.cancel;
+        let jobs_seen = &mut streamed_jobs;
+        let count = &mut streamed;
+        let sink = &mut *w;
+        let mut on_record = move |record: &RunRecord| {
+            jobs_seen.insert(record.job);
+            let line = Response::Record {
+                line: record.to_jsonl(),
+            };
+            if write_line(sink, &line).is_err() {
+                // The consumer is gone: stop producing. Committed
+                // records stay resumable on disk.
+                cancel_on_stream_loss.store(true, Ordering::SeqCst);
+            } else {
+                *count += 1;
+            }
+        };
+        let warm_allocs = state.warm.allocs_for(&spec);
+        let hooks = ShardHooks {
+            scenarios: Some(&population),
+            on_record: Some(&mut on_record),
+            allocs: Some(&warm_allocs),
+            pool: Some(&state.fleet),
+            cancel: Some(&handle.cancel),
+            ..ShardHooks::default()
+        };
+        run_lease(&spec, &queue, &mut holder, &mut journal, hooks)
+    };
     let (executed, resumed) = match lease {
-        Some(lease) => {
-            let job = lease.shard().index;
-            journal.emit(Event::JobClaimed {
-                job: job as u64,
-                worker: writer_id.clone(),
-            });
-            let warm_allocs = state.warm.allocs_for(&spec);
-            let run = {
-                let cancel_on_stream_loss = &handle.cancel;
-                let jobs_seen = &mut streamed_jobs;
-                let count = &mut streamed;
-                let sink = &mut *w;
-                let mut on_record = move |record: &RunRecord| {
-                    jobs_seen.insert(record.job);
-                    let line = Response::Record {
-                        line: record.to_jsonl(),
-                    };
-                    if write_line(sink, &line).is_err() {
-                        // The consumer is gone: stop producing. Committed
-                        // records stay resumable on disk.
-                        cancel_on_stream_loss.store(true, Ordering::SeqCst);
-                    } else {
-                        *count += 1;
-                    }
-                };
-                run_shard_hooked(
-                    &spec,
-                    &shard_dir,
-                    Some(state.fleet.width()),
-                    ShardHooks {
-                        scenarios: Some(&population),
-                        journal: Some(&mut journal),
-                        on_record: Some(&mut on_record),
-                        allocs: Some(&warm_allocs),
-                        pool: Some(&state.fleet),
-                        cancel: Some(&handle.cancel),
-                    },
-                )
-            };
-            let run = match run {
-                Ok(run) => run,
-                Err(e) => {
-                    if queue.reclaim(job, &writer_id).unwrap_or(false) {
-                        journal.emit(Event::LeaseReclaimed {
-                            job: job as u64,
-                            worker: writer_id.clone(),
-                        });
-                    }
-                    return fail(w, format!("shard execution failed: {e}"));
-                }
-            };
-            if run.aborted {
-                // Cooperative stop (cancel op, or the stream died): the
-                // job goes back to todo, committed records survive.
-                if queue.reclaim(job, &writer_id).unwrap_or(false) {
-                    journal.emit(Event::LeaseReclaimed {
-                        job: job as u64,
-                        worker: writer_id.clone(),
-                    });
-                }
-                return write_line(
-                    w,
-                    &Response::Aborted {
-                        campaign: hash,
-                        executed: run.executed as u64,
-                    },
-                );
-            }
-            match queue.mark_done(&lease) {
-                Ok(true) => journal.emit(Event::JobDone {
-                    job: job as u64,
-                    worker: writer_id.clone(),
-                }),
-                Ok(false) => journal.emit(Event::LeaseLost {
-                    job: job as u64,
-                    worker: writer_id.clone(),
-                }),
-                Err(e) => return fail(w, e.to_string()),
-            }
-            (run.executed as u64, run.skipped as u64)
+        Err(e) => return fail(w, format!("shard execution failed: {e}")),
+        // Cooperative stop (cancel op, or the stream died): the job went
+        // back to todo, committed records survive.
+        Ok(Some((run, _))) if run.aborted => {
+            return write_line(
+                w,
+                &Response::Aborted {
+                    campaign: hash,
+                    executed: run.executed as u64,
+                },
+            )
         }
-        // All jobs already done: a warm resubmission — everything comes
-        // from disk backfill below.
-        None => (0, 0),
+        Ok(Some((run, _))) => (run.executed as u64, run.skipped as u64),
+        Ok(None) => (0, 0),
     };
 
-    // Merge first (it validates coverage, duplicates and spec identity),
-    // then backfill-stream any record the live hook did not deliver —
-    // resumed jobs, or the whole campaign on a resubmission.
-    let paths = match collect_shard_files_recursive(&root.join(SHARDS_DIR)) {
-        Ok(p) => p,
-        Err(e) => return fail(w, e.to_string()),
-    };
-    let outcome = match merge_shards(&paths) {
-        Ok(o) => o,
+    // Merge (it validates coverage, duplicates and spec identity), then
+    // backfill-stream any record the live hook did not deliver — resumed
+    // jobs, or the whole campaign on a resubmission.
+    let merged = match merge_root(&root) {
+        Ok(merged) => merged,
         Err(e) => return fail(w, format!("merge failed: {e}")),
     };
-    let mut backfill: BTreeMap<u64, RunRecord> = BTreeMap::new();
-    for path in &paths {
-        if let Ok(file) = read_shard_file(path) {
-            for record in file.records {
-                backfill.entry(record.job).or_insert(record);
-            }
-        }
-    }
     // Resumed = committed grid jobs this submission did not execute
     // (covers both the partial-resume and the full-resubmission case).
-    let resumed = resumed.max((backfill.len() as u64).saturating_sub(executed));
-    for (job, record) in &backfill {
-        if !streamed_jobs.contains(job) {
-            write_line(
-                w,
-                &Response::Record {
-                    line: record.to_jsonl(),
-                },
-            )?;
-            streamed += 1;
-        }
-    }
+    let resumed = resumed.max((merged.records.len() as u64).saturating_sub(executed));
+    streamed += stream_records(w, &merged.records, &streamed_jobs)?;
+    let records = merged.outcome.spec.grid().len();
     journal.emit(Event::ResultsStreamed {
         job: 0,
         records: streamed,
     });
     journal.emit(Event::MergeCompleted {
-        shard_files: paths.len() as u64,
-        records: outcome.spec.grid().len(),
+        shard_files: merged.shard_files as u64,
+        records,
     });
-    journal.emit(Event::CampaignCompleted {
-        records: outcome.spec.grid().len(),
-    });
+    journal.emit(Event::CampaignCompleted { records });
     write_line(
         w,
         &Response::Done {
@@ -589,7 +475,7 @@ fn handle_submit(
             resumed,
             streamed,
             population: if warm_hit { "warm" } else { "cold" }.to_string(),
-            report: outcome.render(),
+            report: merged.outcome.render(),
         },
     )
 }
@@ -605,32 +491,11 @@ fn handle_results(
     };
     // Do not interleave with a running submission of the same campaign.
     let _gate = handle.gate.lock().unwrap_or_else(|e| e.into_inner());
-    let paths = match collect_shard_files_recursive(&handle.root.join(SHARDS_DIR)) {
-        Ok(p) if !p.is_empty() => p,
-        Ok(_) => return fail(w, format!("campaign `{campaign}` has no results yet")),
-        Err(e) => return fail(w, e.to_string()),
-    };
-    let outcome = match merge_shards(&paths) {
-        Ok(o) => o,
+    let merged = match merge_root(&handle.root) {
+        Ok(merged) => merged,
         Err(e) => return fail(w, format!("campaign `{campaign}` is incomplete: {e}")),
     };
-    let mut records: BTreeMap<u64, RunRecord> = BTreeMap::new();
-    for path in &paths {
-        if let Ok(file) = read_shard_file(path) {
-            for record in file.records {
-                records.entry(record.job).or_insert(record);
-            }
-        }
-    }
-    let total = records.len() as u64;
-    for record in records.values() {
-        write_line(
-            w,
-            &Response::Record {
-                line: record.to_jsonl(),
-            },
-        )?;
-    }
+    let total = stream_records(w, &merged.records, &BTreeSet::new())?;
     write_line(
         w,
         &Response::Done {
@@ -639,7 +504,22 @@ fn handle_results(
             resumed: total,
             streamed: total,
             population: "disk".to_string(),
-            report: outcome.render(),
+            report: merged.outcome.render(),
         },
     )
+}
+
+/// Streams the records whose jobs are not in `sent`; returns how many.
+fn stream_records(
+    w: &mut impl Write,
+    records: &[RunRecord],
+    sent: &BTreeSet<u64>,
+) -> std::io::Result<u64> {
+    let mut streamed = 0;
+    for record in records.iter().filter(|r| !sent.contains(&r.job)) {
+        let line = record.to_jsonl();
+        write_line(w, &Response::Record { line })?;
+        streamed += 1;
+    }
+    Ok(streamed)
 }

@@ -10,9 +10,9 @@ use std::time::Duration;
 
 use common::{assert_outcomes_bit_identical, temp_dir};
 use rats_dispatch::dispatcher::{campaign_root, collect_shard_files_recursive};
-use rats_dispatch::worker::{ChaosPhase, SHARDS_DIR, SPEC_FILE};
+use rats_dispatch::lifecycle::{merge_root, prepare_root};
+use rats_dispatch::worker::{ChaosPhase, SHARDS_DIR};
 use rats_dispatch::{dispatch, DispatchConfig, HostInventory, WorkQueue};
-use rats_experiments::shard::merge_shards;
 use rats_experiments::spec::{ExperimentSpec, SuiteSpec};
 
 /// The `campaign` binary of this crate (built by cargo for us).
@@ -213,14 +213,10 @@ fn sigkilled_worker_process_recovers() {
     let reference = spec.run().unwrap();
     let out = temp_out("kill9");
 
-    // Prepare the campaign root the way `dispatch` would.
+    // Prepare the campaign root the way `dispatch` does.
     let normalized = spec.normalized();
     let root = campaign_root(&out, &normalized);
-    fs::create_dir_all(root.join(SHARDS_DIR)).unwrap();
-    fs::write(root.join(SPEC_FILE), format!("{}\n", normalized.to_json())).unwrap();
-    rats_dispatch::cache::ensure_cache(&root, &normalized).unwrap();
-    let shards = 6;
-    let queue = WorkQueue::init(&root, &normalized, shards).unwrap();
+    let (queue, _) = prepare_root(&root, &normalized, 6, None).unwrap();
 
     // Three manual workers; the kill lands ~120 ms in, so the victim is
     // likely mid-shard — but the test is correct whatever it was doing.
@@ -276,8 +272,7 @@ fn sigkilled_worker_process_recovers() {
         assert!(status.success(), "surviving workers exit cleanly");
     }
 
-    let files = collect_shard_files_recursive(&root.join(SHARDS_DIR)).unwrap();
-    let merged = merge_shards(&files).unwrap();
+    let merged = merge_root(&root).unwrap().outcome;
     assert_outcomes_bit_identical(&merged, &reference);
     fs::remove_dir_all(&out).unwrap();
 }

@@ -1,6 +1,6 @@
 //! End-to-end service tests over real TCP: warm-vs-cold bit identity,
-//! concurrent multi-campaign submissions, cancel semantics, and protocol
-//! robustness.
+//! concurrent multi-campaign submissions, cancel semantics, lease
+//! take-over after a server death, and protocol robustness.
 
 #[allow(dead_code)]
 mod common;
@@ -11,9 +11,11 @@ use std::path::{Path, PathBuf};
 
 use common::temp_dir;
 use rats_dispatch::dispatcher::campaign_root;
+use rats_dispatch::lifecycle::prepare_root;
 use rats_experiments::record::RunRecord;
+use rats_experiments::shard::run_shard;
 use rats_experiments::spec::{ExperimentSpec, SuiteSpec};
-use rats_journal::{read_journal, Replay};
+use rats_journal::{read_journal, Event, Replay};
 use rats_server::{Client, Server, ServerConfig, SpecFormat, SubmitEnd};
 
 fn mini_spec(name: &str, seed: u64) -> ExperimentSpec {
@@ -432,6 +434,51 @@ fn served_roots_are_batch_tool_compatible() {
     assert_eq!(status.queue.done, 1);
     let report = rats_dispatch::replay_check(&root).expect("replay check runs");
     assert!(report.ok(), "journal replay matches the live queue");
+
+    shutdown(&addr, server);
+    fs::remove_dir_all(&out).unwrap();
+}
+
+/// A server that died holding a campaign's lease leaves a foreign claim
+/// file in the queue. Resubmitting the campaign to a new server takes the
+/// lease over, journals the reclaim, streams records byte-identical to a
+/// batch shard run and a report byte-identical to `spec.run()`, and leaves
+/// a journal that replays to the live queue.
+#[test]
+fn resubmission_takes_over_a_dead_servers_lease() {
+    let out = temp_dir("serve-takeover");
+    let serve_out = out.join("serve");
+    let spec = mini_spec("takeover", 7501);
+    let normalized = spec.normalized();
+    let root = campaign_root(&serve_out, &normalized);
+    let (queue, _) = prepare_root(&root, &normalized, 1, None).unwrap();
+    queue
+        .claim("serve-dead")
+        .unwrap()
+        .expect("the only job is claimable");
+
+    let (addr, server) = start_server(ServerConfig::new(&serve_out));
+    let sub = submit(&addr, "t", &spec);
+    assert_eq!((sub.executed, sub.resumed), (spec.grid().len(), 0));
+    assert_eq!(sub.report, spec.run().unwrap().render());
+    let batch = out.join("batch");
+    let run = run_shard(&spec, &batch, None).unwrap();
+    let batch_records: Vec<String> = fs::read_to_string(&run.path)
+        .unwrap()
+        .lines()
+        .skip(1)
+        .map(String::from)
+        .collect();
+    assert_eq!(sub.records, batch_records, "byte-identical record stream");
+
+    let segments = read_journal(&root).expect("journal chains verify");
+    let reclaimed = segments.iter().flat_map(|s| &s.records).any(
+        |r| matches!(&r.event, Event::LeaseReclaimed { job: 0, worker } if worker == "serve-dead"),
+    );
+    assert!(reclaimed, "the take-over is journaled");
+    let check = rats_dispatch::replay_check(&root).expect("replay check runs");
+    assert!(check.ok(), "{check}");
+    assert_eq!(check.state.reclaimed, 1);
 
     shutdown(&addr, server);
     fs::remove_dir_all(&out).unwrap();
