@@ -35,6 +35,7 @@ use std::path::{Path, PathBuf};
 
 use rats_experiments::grid::ShardSpec;
 use rats_experiments::spec::ExperimentSpec;
+use rats_journal::JobView;
 use serde::{Deserialize, Serialize, Value};
 
 /// Name of the queue subdirectory under the campaign root.
@@ -182,6 +183,25 @@ pub struct JobFiles {
     pub claims: Vec<String>,
     /// A `.done` file exists.
     pub done: bool,
+}
+
+impl JobFiles {
+    /// The job's state under the journal fold's done-wins order: done, then
+    /// claimed (a todo beside a claim is a reclaim the holder has not
+    /// noticed yet), then todo. Holders are sorted.
+    pub fn view(&self) -> JobView {
+        if self.done {
+            JobView::Done
+        } else if !self.claims.is_empty() {
+            let mut workers = self.claims.clone();
+            workers.sort();
+            JobView::Claimed(workers)
+        } else if self.todo {
+            JobView::Todo
+        } else {
+            JobView::Missing
+        }
+    }
 }
 
 /// Aggregate queue state.
@@ -352,9 +372,9 @@ impl WorkQueue {
         Ok(out)
     }
 
-    /// Aggregate counts. A job with a `.done` file counts as done no matter
-    /// what other stray files exist; otherwise a claim wins over a todo
-    /// (the todo is a reclaim the holder has not noticed yet).
+    /// Aggregate counts, one per job's [`JobFiles::view`]: a job with a
+    /// `.done` file counts as done no matter what other stray files exist;
+    /// otherwise a claim wins over a todo.
     pub fn status(&self) -> Result<QueueStatus, QueueError> {
         Ok(self.status_of(&self.scan()?))
     }
@@ -371,16 +391,16 @@ impl WorkQueue {
             done: 0,
         };
         for job in 0..self.shard_count {
-            match files.get(&job) {
-                Some(f) if f.done => status.done += 1,
-                Some(f) if f.todo => status.todo += 1,
-                Some(f) if !f.claims.is_empty() => status.claimed += 1,
+            match files.get(&job).map_or(JobView::Missing, JobFiles::view) {
+                JobView::Done => status.done += 1,
+                JobView::Todo => status.todo += 1,
+                JobView::Claimed(_) => status.claimed += 1,
                 // No file at all: a claim/done rename is mid-flight (the
                 // source vanished, the destination not yet scanned) or the
                 // job file was externally deleted. Count it as claimed; a
                 // rename resolves by the next scan, and the dispatcher
                 // re-seeds jobs that stay file-less ([`Self::reseed`]).
-                _ => status.claimed += 1,
+                JobView::Missing => status.claimed += 1,
             }
         }
         status

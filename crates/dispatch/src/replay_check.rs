@@ -14,9 +14,9 @@
 use std::fmt;
 use std::path::Path;
 
-use rats_journal::{read_journal, JournalError, Replay, ReplayState, JOURNAL_DIR};
+use rats_journal::{read_journal, JobView, JournalError, Replay, ReplayState, JOURNAL_DIR};
 
-use crate::queue::WorkQueue;
+use crate::queue::{JobFiles, WorkQueue};
 use crate::worker::load_root_spec;
 use crate::DispatchError;
 
@@ -118,17 +118,7 @@ pub fn replay_check(root: &Path) -> Result<ReplayCheckReport, DispatchError> {
     for job in 0..jobs {
         // The live view under the same done-wins priority the replay fold
         // applies (and the queue's conflict sweep enforces eventually).
-        let live = match files.get(&job) {
-            None => rats_journal::JobView::Missing,
-            Some(f) if f.done => rats_journal::JobView::Done,
-            Some(f) if !f.claims.is_empty() => {
-                let mut ws = f.claims.clone();
-                ws.sort();
-                rats_journal::JobView::Claimed(ws)
-            }
-            Some(f) if f.todo => rats_journal::JobView::Todo,
-            Some(_) => rats_journal::JobView::Missing,
-        };
+        let live = files.get(&job).map_or(JobView::Missing, JobFiles::view);
         let replayed = state.view(job as u64);
         if live != replayed {
             mismatches.push(format!(

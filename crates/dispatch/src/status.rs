@@ -25,10 +25,10 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use rats_journal::Event;
+use rats_journal::{Event, JobView as Live};
 use serde::{Serialize, Value};
 
-use crate::queue::{QueueStatus, WorkQueue};
+use crate::queue::{JobFiles, QueueStatus, WorkQueue};
 use crate::worker::load_root_spec;
 use crate::DispatchError;
 
@@ -300,11 +300,11 @@ pub fn campaign_status(root: &Path, stale_ms: u64) -> Result<CampaignStatus, Dis
     let mut jobs = Vec::with_capacity(queue.shard_count());
     let mut stale = 0usize;
     for job in 0..queue.shard_count() {
-        let view = match files.get(&job) {
-            Some(f) if f.done => JobView::Done,
-            Some(f) if f.todo => JobView::Todo,
-            Some(f) if !f.claims.is_empty() => {
-                let all_stale = f.claims.iter().all(|w| {
+        let view = match files.get(&job).map_or(Live::Missing, JobFiles::view) {
+            Live::Done => JobView::Done,
+            Live::Todo => JobView::Todo,
+            Live::Claimed(workers) => {
+                let all_stale = workers.iter().all(|w| {
                     match last_event_by_writer.get(w.as_str()) {
                         // Journal-based: no event from the holder within
                         // the threshold.
@@ -320,11 +320,11 @@ pub fn campaign_status(root: &Path, stale_ms: u64) -> Result<CampaignStatus, Dis
                     stale += 1;
                 }
                 JobView::Claimed {
-                    workers: f.claims.clone(),
+                    workers,
                     stale: all_stale,
                 }
             }
-            _ => JobView::Missing,
+            Live::Missing => JobView::Missing,
         };
         jobs.push(view);
     }
@@ -448,6 +448,33 @@ mod tests {
         // The scan mutated nothing: the same queue state is still there.
         let again = campaign_status(&root, 60_000).unwrap();
         assert_eq!(again.queue, status.queue);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_claim_beside_a_todo_reads_as_claimed_everywhere() {
+        let root = temp_root("claim-and-todo");
+        let spec = ExperimentSpec::naive("ct", "grillon", SuiteSpec::Mini, 5).normalized();
+        let (queue, _) = crate::lifecycle::prepare_root(&root, &spec, 2, None).unwrap();
+        let mut journal = rats_journal::Journal::open(&root, "w0", &spec.spec_hash());
+        journal.emit(Event::QueueInit { jobs: 2 });
+        let lease = queue.claim("w0").unwrap().unwrap();
+        journal.emit(Event::JobClaimed {
+            job: lease.job as u64,
+            worker: "w0".into(),
+        });
+        // A reclaim the holder has not noticed yet: a todo beside the claim.
+        fs::write(queue.job_path(lease.job, "todo"), "{}\n").unwrap();
+
+        let status = campaign_status(&root, 60_000).unwrap();
+        assert!(matches!(
+            &status.jobs[lease.job],
+            JobView::Claimed { workers, .. } if workers == &vec!["w0".to_string()]
+        ));
+        assert_eq!((status.queue.todo, status.queue.claimed), (1, 1));
+        assert_eq!(queue.status().unwrap(), status.queue);
+        let check = crate::replay_check(&root).unwrap();
+        assert!(check.ok(), "{check}");
         fs::remove_dir_all(&root).unwrap();
     }
 

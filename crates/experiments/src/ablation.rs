@@ -1,8 +1,8 @@
-//! Quality ablations for the design choices DESIGN.md calls out.
-//!
-//! Unlike the Criterion benches (which time the code), these experiments
-//! measure **schedule quality**: how each design alternative moves the
-//! simulated makespan across a scenario suite.
+//! Quality ablations of the scheduler's design choices: mapping strategies
+//! against candidate policies on a shared allocation (A), and allocation
+//! policies under time-cost mapping (B). They measure **schedule
+//! quality**, not speed: how each alternative moves the simulated makespan
+//! across a scenario suite. `campaign paper ablation` prints them.
 
 use rats_platform::Platform;
 use rats_sched::{allocate, AllocParams, AreaPolicy, CandidatePolicy, MappingStrategy, Scheduler};

@@ -44,16 +44,6 @@ impl Redistribution {
         self.transfers.is_empty()
     }
 
-    /// Bytes sent by each processor, as `(proc, bytes)` pairs.
-    pub fn bytes_sent_per_proc(&self) -> Vec<(u32, f64)> {
-        aggregate(self.transfers.iter().map(|t| (t.src, t.bytes)))
-    }
-
-    /// Bytes received by each processor, as `(proc, bytes)` pairs.
-    pub fn bytes_received_per_proc(&self) -> Vec<(u32, f64)> {
-        aggregate(self.transfers.iter().map(|t| (t.dst, t.bytes)))
-    }
-
     /// Renders the dense `p × q` matrix (including diagonal self entries)
     /// for the given sender/receiver sets — the paper's Table I layout.
     pub fn dense_matrix(&self, src: &ProcSet, dst: &ProcSet, total_bytes: f64) -> Vec<Vec<f64>> {
@@ -76,17 +66,6 @@ impl Redistribution {
         }
         m
     }
-}
-
-fn aggregate(items: impl Iterator<Item = (u32, f64)>) -> Vec<(u32, f64)> {
-    let mut v: Vec<(u32, f64)> = Vec::new();
-    for (p, b) in items {
-        match v.iter_mut().find(|(q, _)| *q == p) {
-            Some((_, acc)) => *acc += b,
-            None => v.push((p, b)),
-        }
-    }
-    v
 }
 
 /// Computes the redistribution of `total_bytes` bytes from the (ordered)
@@ -211,23 +190,6 @@ mod tests {
         let r = redistribute(0.0, &s, &d);
         assert!(r.is_free());
         assert_eq!(r.total_bytes(), 0.0);
-    }
-
-    #[test]
-    fn per_proc_aggregates() {
-        let src = ProcSet::from_range(0, 4);
-        let dst = ProcSet::from_range(4, 5);
-        let r = redistribute(10.0, &src, &dst);
-        let sent = r.bytes_sent_per_proc();
-        assert_eq!(sent.len(), 4);
-        for &(_, b) in &sent {
-            assert!((b - 2.5).abs() < 1e-9, "each sender ships its block");
-        }
-        let recv = r.bytes_received_per_proc();
-        assert_eq!(recv.len(), 5);
-        for &(_, b) in &recv {
-            assert!((b - 2.0).abs() < 1e-9, "each receiver gets its block");
-        }
     }
 
     #[test]

@@ -32,7 +32,8 @@ pub struct AllocParams {
     /// (whose duration more processors cannot reduce) makes the loop pump
     /// processors into every task until the average area reaches the
     /// communication scale — the cluster saturates and task parallelism
-    /// dies. Exposed as a knob for the ablation benches.
+    /// dies. Exposed as a knob for the allocation ablation
+    /// (`campaign paper ablation`).
     pub cp_includes_comm: bool,
 }
 

@@ -344,6 +344,22 @@ pub fn write_line<T: Serialize>(w: &mut impl Write, message: &T) -> std::io::Res
 /// any real spec or report, and all one peer can make a connection buffer.
 pub const MAX_LINE_BYTES: usize = 64 << 20;
 
+/// The payload of [`read_line`]'s error for a line longer than
+/// [`MAX_LINE_BYTES`]. The reader stopped mid-line, so the stream's line
+/// framing is lost.
+#[derive(Debug)]
+pub(crate) struct LineTooLong {
+    cap: usize,
+}
+
+impl std::fmt::Display for LineTooLong {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "line exceeds {} bytes", self.cap)
+    }
+}
+
+impl std::error::Error for LineTooLong {}
+
 /// Reads one JSON line into a message, skipping blank lines. `Ok(None)` on
 /// clean EOF; EOF after blank lines is an `UnexpectedEof` error; a parse
 /// failure, or a line longer than [`MAX_LINE_BYTES`], is an `InvalidData`
@@ -371,7 +387,10 @@ fn read_line_capped<T: Deserialize>(
             return Ok(None);
         }
         if line.len() > cap {
-            return Err(invalid(format!("line exceeds {cap} bytes")));
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                LineTooLong { cap },
+            ));
         }
         if !line.trim().is_empty() {
             break;
@@ -564,6 +583,7 @@ mod tests {
         let err = read_line_capped::<Request>(&mut rest, cap).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("exceeds"), "{err}");
+        assert!(err.get_ref().is_some_and(|e| e.is::<LineTooLong>()));
         assert_eq!(
             long.len() - rest.len(),
             cap + 1,

@@ -20,7 +20,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -36,7 +36,7 @@ use rats_journal::{Event, Journal};
 use serde::{Serialize, Value};
 
 use crate::fleet::Fleet;
-use crate::protocol::{read_line, write_line, Request, Response, SpecFormat};
+use crate::protocol::{read_line, write_line, LineTooLong, Request, Response, SpecFormat};
 use crate::warm::{WarmState, WarmStats};
 
 /// Knobs for a [`Server`].
@@ -194,6 +194,13 @@ fn handle_conn(state: &Arc<ServerState>, stream: TcpStream) {
                     message: format!("malformed request: {e}"),
                 };
                 if write_line(&mut w, &resp).is_err() {
+                    return;
+                }
+                // An over-long line was read only up to the cap, so the
+                // rest of it cannot be told from the next request: answer
+                // once, then close.
+                if e.get_ref().is_some_and(|inner| inner.is::<LineTooLong>()) {
+                    let _ = w.get_ref().shutdown(Shutdown::Write);
                     return;
                 }
                 continue;

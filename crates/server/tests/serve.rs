@@ -16,6 +16,7 @@ use rats_experiments::record::RunRecord;
 use rats_experiments::shard::run_shard;
 use rats_experiments::spec::{ExperimentSpec, SuiteSpec};
 use rats_journal::{read_journal, Event, Replay};
+use rats_server::protocol::MAX_LINE_BYTES;
 use rats_server::{Client, Server, ServerConfig, SpecFormat, SubmitEnd};
 
 fn mini_spec(name: &str, seed: u64) -> ExperimentSpec {
@@ -411,6 +412,43 @@ fn cancel_results_and_protocol_errors_behave() {
     // `serve()` joins connection threads, which exit on client EOF.
     drop(client);
     drop(bad);
+    shutdown(&addr, server);
+    fs::remove_dir_all(&out).unwrap();
+}
+
+/// An over-long request line is answered with one `error`, then the server
+/// closes the connection: the rest of the line never comes back as further
+/// errors, and nothing after it is read as a request.
+#[test]
+fn an_over_long_request_line_gets_one_error_then_eof() {
+    use std::io::{BufRead, BufReader, Write};
+    let out = temp_dir("serve-long-line");
+    let mut cfg = ServerConfig::new(out.join("serve"));
+    cfg.fleet = 1;
+    let (addr, server) = start_server(cfg);
+
+    let mut raw = TcpStream::connect(&addr).unwrap();
+    let chunk = vec![b'x'; 1 << 20];
+    let mut left = MAX_LINE_BYTES + 1;
+    while left > 0 {
+        let n = left.min(chunk.len());
+        raw.write_all(&chunk[..n]).unwrap();
+        left -= n;
+    }
+    raw.write_all(b"\n{\"op\":\"status\"}\n").unwrap();
+    raw.flush().unwrap();
+
+    let mut reader = BufReader::new(raw);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(
+        line.contains("\"error\"") && line.contains("exceeds"),
+        "got: {line}"
+    );
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "then EOF: {line}");
+
+    drop(reader);
     shutdown(&addr, server);
     fs::remove_dir_all(&out).unwrap();
 }

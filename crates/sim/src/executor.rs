@@ -7,7 +7,7 @@ use rats_dag::{EdgeId, TaskGraph, TaskId};
 use rats_platform::Platform;
 use rats_redist::redistribute;
 use rats_sched::Schedule;
-use rats_simnet::{NetSim, StartOutcome};
+use rats_simnet::NetSim;
 
 use crate::outcome::{EdgeRedistStats, SimOutcome};
 
@@ -31,14 +31,6 @@ impl Ord for OrdF64 {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum TaskState {
-    /// Waiting for input redistributions and/or processors.
-    Waiting,
-    Running,
-    Done,
-}
-
 /// Simulates the execution of `schedule` on `platform`.
 ///
 /// See the crate docs for the model; the short version: redistribution
@@ -58,115 +50,37 @@ pub fn simulate(dag: &TaskGraph, schedule: &Schedule, platform: &Platform) -> Si
         "schedule must map every task of the graph"
     );
     let gflops = platform.gflops();
-
-    // Processor occupancy: a task atomically grabs all its processors when
-    // it starts and releases them when it finishes. Waiting tasks are
-    // scanned in mapping order (the list scheduler's priority), but a task
-    // whose data has not arrived does not block later tasks mapped on the
-    // same processors — execution order emerges from data availability, as
-    // in the paper's runtime where ready tasks are launched as they appear.
-    let mut proc_busy = vec![false; platform.num_procs() as usize];
-
-    let mut state = vec![TaskState::Waiting; n];
-    // Incomplete input redistributions per task.
-    let mut pending_inputs: Vec<u32> = dag.task_ids().map(|t| dag.in_degree(t) as u32).collect();
-    // Remaining network flows per edge.
-    let mut edge_flows: Vec<u32> = vec![0; dag.num_edges()];
-
-    let mut task_start = vec![0.0f64; n];
-    let mut task_finish = vec![0.0f64; n];
-    let mut network_bytes = 0.0f64;
-    let mut self_bytes = 0.0f64;
-    let mut edge_stats = vec![
-        EdgeRedistStats {
-            start: 0.0,
-            finish: 0.0,
-            network_bytes: 0.0,
-        };
-        dag.num_edges()
-    ];
-
-    let mut net = NetSim::new(platform);
-    // (finish time, task) events for running tasks.
-    let mut finish_events: BinaryHeap<Reverse<(OrdF64, TaskId)>> = BinaryHeap::new();
-    let mut done = 0usize;
-    let mut now = 0.0f64;
-
-    // Starts the redistribution of edge `e` at the current time; returns the
-    // tasks whose last input just completed (all-local redistributions).
-    let start_edge = |e: EdgeId,
-                      now: f64,
-                      net: &mut NetSim,
-                      edge_flows: &mut Vec<u32>,
-                      pending_inputs: &mut Vec<u32>,
-                      network_bytes: &mut f64,
-                      self_bytes: &mut f64,
-                      edge_stats: &mut Vec<EdgeRedistStats>|
-     -> Option<TaskId> {
-        let edge = dag.edge(e);
-        let src_procs = &schedule.entries[edge.src.index()].procs;
-        let dst_procs = &schedule.entries[edge.dst.index()].procs;
-        let r = redistribute(edge.bytes, src_procs, dst_procs);
-        *network_bytes += r.network_bytes();
-        *self_bytes += r.self_bytes;
-        edge_stats[e.index()] = EdgeRedistStats {
-            start: now,
-            finish: now,
-            network_bytes: r.network_bytes(),
-        };
-        let mut flows = 0u32;
-        for t in &r.transfers {
-            match net.start_flow(t.src, t.dst, t.bytes, e.index() as u64) {
-                StartOutcome::Started(_) => flows += 1,
-                StartOutcome::Instant => {}
-            }
-        }
-        edge_flows[e.index()] = flows;
-        if flows == 0 {
-            pending_inputs[edge.dst.index()] -= 1;
-            (pending_inputs[edge.dst.index()] == 0).then_some(edge.dst)
-        } else {
-            None
-        }
+    let mut run = Run {
+        dag,
+        schedule,
+        gflops,
+        net: NetSim::new(platform),
+        now: 0.0,
+        proc_busy: vec![false; platform.num_procs() as usize],
+        started: vec![false; n],
+        pending_inputs: dag.task_ids().map(|t| dag.in_degree(t) as u32).collect(),
+        edge_flows: vec![0; dag.num_edges()],
+        finish_events: BinaryHeap::new(),
+        task_start: vec![0.0; n],
+        task_finish: vec![0.0; n],
+        network_bytes: 0.0,
+        self_bytes: 0.0,
+        edge_stats: vec![
+            EdgeRedistStats {
+                start: 0.0,
+                finish: 0.0,
+                network_bytes: 0.0,
+            };
+            dag.num_edges()
+        ],
     };
 
     // Entry tasks have no inputs pending from the start.
-    // Start every startable task at the current time.
-    macro_rules! try_start_tasks {
-        () => {
-            loop {
-                let mut started_any = false;
-                for &t in &schedule.order {
-                    if state[t.index()] != TaskState::Waiting || pending_inputs[t.index()] > 0 {
-                        continue;
-                    }
-                    let entry = &schedule.entries[t.index()];
-                    if entry.procs.iter().any(|p| proc_busy[p as usize]) {
-                        continue;
-                    }
-                    // Start the task: grab all its processors atomically.
-                    for p in entry.procs.iter() {
-                        proc_busy[p as usize] = true;
-                    }
-                    let dur = dag.task(t).cost.time(entry.procs.len(), gflops);
-                    state[t.index()] = TaskState::Running;
-                    task_start[t.index()] = now;
-                    finish_events.push(Reverse((OrdF64(now + dur), t)));
-                    started_any = true;
-                }
-                if !started_any {
-                    break;
-                }
-            }
-        };
-    }
-
-    try_start_tasks!();
-
+    run.start_ready_tasks();
+    let mut done = 0usize;
     while done < n {
-        let next_task = finish_events.peek().map(|Reverse((t, _))| t.0);
-        let next_net = net.next_event();
-        let t_next = match (next_task, next_net) {
+        let next_task = run.finish_events.peek().map(|Reverse((t, _))| t.0);
+        run.now = match (next_task, run.net.next_event()) {
             (Some(a), Some(b)) => a.min(b),
             (Some(a), None) => a,
             (None, Some(b)) => b,
@@ -174,50 +88,40 @@ pub fn simulate(dag: &TaskGraph, schedule: &Schedule, platform: &Platform) -> Si
                 panic!("simulation deadlock: {done}/{n} tasks done and no pending events")
             }
         };
-        now = t_next;
+        let now = run.now;
 
         // 1. Network completions at `now`. The network clock moves in
         // lock-step even when a task event set `now`, and a transfer ending
         // within the engine's completion tolerance of it completes here.
-        for key in net.advance_to(now) {
-            let e = EdgeId::from_index(net.tag(key) as usize);
-            edge_flows[e.index()] -= 1;
-            if edge_flows[e.index()] == 0 {
-                let dst = dag.edge(e).dst;
-                pending_inputs[dst.index()] -= 1;
-                edge_stats[e.index()].finish = now;
+        for tag in run.net.advance_to(now) {
+            let e = tag as usize;
+            run.edge_flows[e] -= 1;
+            if run.edge_flows[e] == 0 {
+                let dst = dag.edge(EdgeId::from_index(e)).dst;
+                run.pending_inputs[dst.index()] -= 1;
+                run.edge_stats[e].finish = now;
             }
         }
 
-        // 2. Task completions at `now`.
-        while let Some(Reverse((OrdF64(tf), t))) = finish_events.peek().copied() {
+        // 2. Task completions at `now`: free the processors and launch the
+        // outgoing redistributions.
+        while let Some(&Reverse((OrdF64(tf), t))) = run.finish_events.peek() {
             if tf > now + 1e-15 {
                 break;
             }
-            finish_events.pop();
-            state[t.index()] = TaskState::Done;
-            task_finish[t.index()] = tf;
+            run.finish_events.pop();
+            run.task_finish[t.index()] = tf;
             done += 1;
             for p in schedule.entries[t.index()].procs.iter() {
-                proc_busy[p as usize] = false;
+                run.proc_busy[p as usize] = false;
             }
-            // Launch outgoing redistributions.
             for &e in dag.out_edges(t) {
-                let _ = start_edge(
-                    e,
-                    now,
-                    &mut net,
-                    &mut edge_flows,
-                    &mut pending_inputs,
-                    &mut network_bytes,
-                    &mut self_bytes,
-                    &mut edge_stats,
-                );
+                run.start_edge(e);
             }
         }
 
         // 3. Start whatever became startable.
-        try_start_tasks!();
+        run.start_ready_tasks();
     }
 
     let total_work: f64 = dag
@@ -230,13 +134,96 @@ pub fn simulate(dag: &TaskGraph, schedule: &Schedule, platform: &Platform) -> Si
         .sum();
 
     SimOutcome {
-        makespan: task_finish.iter().copied().fold(0.0, f64::max),
-        task_start,
-        task_finish,
+        makespan: run.task_finish.iter().copied().fold(0.0, f64::max),
+        task_start: run.task_start,
+        task_finish: run.task_finish,
         total_work,
-        network_bytes,
-        self_bytes,
-        edge_stats,
+        network_bytes: run.network_bytes,
+        self_bytes: run.self_bytes,
+        edge_stats: run.edge_stats,
+    }
+}
+
+/// The state of one [`simulate`] run.
+struct Run<'a> {
+    dag: &'a TaskGraph,
+    schedule: &'a Schedule,
+    gflops: f64,
+    net: NetSim<'a>,
+    now: f64,
+    /// Processor occupancy: a task atomically grabs all its processors when
+    /// it starts and releases them when it finishes.
+    proc_busy: Vec<bool>,
+    started: Vec<bool>,
+    /// Incomplete input redistributions per task.
+    pending_inputs: Vec<u32>,
+    /// Network flows still in flight per edge.
+    edge_flows: Vec<u32>,
+    /// (finish time, task) events of running tasks.
+    finish_events: BinaryHeap<Reverse<(OrdF64, TaskId)>>,
+    task_start: Vec<f64>,
+    task_finish: Vec<f64>,
+    network_bytes: f64,
+    self_bytes: f64,
+    edge_stats: Vec<EdgeRedistStats>,
+}
+
+impl Run<'_> {
+    /// Starts the redistribution of edge `e` at the current time. An edge
+    /// with no network flow (all data stays on its processors) delivers its
+    /// input at once.
+    fn start_edge(&mut self, e: EdgeId) {
+        let edge = self.dag.edge(e);
+        let src_procs = &self.schedule.entries[edge.src.index()].procs;
+        let dst_procs = &self.schedule.entries[edge.dst.index()].procs;
+        let r = redistribute(edge.bytes, src_procs, dst_procs);
+        let network_bytes = r.network_bytes();
+        self.network_bytes += network_bytes;
+        self.self_bytes += r.self_bytes;
+        self.edge_stats[e.index()] = EdgeRedistStats {
+            start: self.now,
+            finish: self.now,
+            network_bytes,
+        };
+        let mut flows = 0u32;
+        for t in &r.transfers {
+            flows += u32::from(self.net.start_flow(t.src, t.dst, t.bytes, e.index() as u64));
+        }
+        self.edge_flows[e.index()] = flows;
+        if flows == 0 {
+            self.pending_inputs[edge.dst.index()] -= 1;
+        }
+    }
+
+    /// Starts, at the current time, every waiting task whose inputs have
+    /// arrived and whose processors are all idle. Tasks are scanned in
+    /// mapping order (the list scheduler's priority), but a task whose data
+    /// has not arrived does not block later tasks mapped on the same
+    /// processors — execution order emerges from data availability, as in
+    /// the paper's runtime where ready tasks are launched as they appear.
+    ///
+    /// One pass suffices: starting a task only occupies processors, so it
+    /// can never make another task startable.
+    fn start_ready_tasks(&mut self) {
+        let schedule = self.schedule;
+        for &t in &schedule.order {
+            let i = t.index();
+            if self.started[i] || self.pending_inputs[i] > 0 {
+                continue;
+            }
+            let procs = &schedule.entries[i].procs;
+            if procs.iter().any(|p| self.proc_busy[p as usize]) {
+                continue;
+            }
+            for p in procs.iter() {
+                self.proc_busy[p as usize] = true;
+            }
+            self.started[i] = true;
+            self.task_start[i] = self.now;
+            let dur = self.dag.task(t).cost.time(procs.len(), self.gflops);
+            self.finish_events
+                .push(Reverse((OrdF64(self.now + dur), t)));
+        }
     }
 }
 

@@ -1,42 +1,15 @@
 //! Event-driven fluid simulation of network flows.
 
-use rats_platform::Platform;
+use rats_platform::{LinkId, Platform};
 
 use crate::maxmin::{FlowSpec, Problem};
-
-/// Handle to a flow inside a [`NetSim`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FlowKey(u32);
-
-impl FlowKey {
-    fn from_index(i: usize) -> Self {
-        Self(u32::try_from(i).expect("more than u32::MAX flows"))
-    }
-
-    fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-/// Result of [`NetSim::start_flow`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StartOutcome {
-    /// The transfer was local (same processor) or empty: it completed
-    /// instantly and never existed as a network flow.
-    Instant,
-    /// A network flow was created.
-    Started(FlowKey),
-}
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Phase {
     /// Connection establishment: no data moves until `until`.
-    Latency {
-        until: f64,
-    },
+    Latency { until: f64 },
     /// Fluid transfer at the current max-min fair rate.
     Transfer,
-    Done,
 }
 
 #[derive(Debug, Clone)]
@@ -63,48 +36,38 @@ struct Flow {
 /// ```text
 /// loop {
 ///     t = min(own events, net.next_event());
-///     completed = net.advance_to(t);
-///     …                    // start new flows at the current time
+///     completed = net.advance_to(t);   // tags of the finished flows
+///     …                                // start new flows at the current time
 /// }
 /// ```
 #[derive(Debug, Clone)]
 pub struct NetSim<'p> {
     platform: &'p Platform,
+    /// Flows in latency or transfer phase, in start order.
     flows: Vec<Flow>,
-    active: Vec<FlowKey>,
+    /// The max-min problem: link capacities are set once, the transferring
+    /// flows are refilled on every solve.
+    problem: Problem,
     time: f64,
     dirty: bool,
-    /// Cumulative bytes shipped over each link (utilization accounting).
-    link_bytes: Vec<f64>,
 }
 
 impl<'p> NetSim<'p> {
     /// Creates an idle network at time 0.
     pub fn new(platform: &'p Platform) -> Self {
+        let capacity = (0..platform.num_links())
+            .map(|l| platform.link(LinkId::from_index(l)).bandwidth_bps)
+            .collect();
         Self {
             platform,
             flows: Vec::new(),
-            active: Vec::new(),
+            problem: Problem {
+                capacity,
+                flows: Vec::new(),
+            },
             time: 0.0,
             dirty: false,
-            link_bytes: vec![0.0; platform.num_links()],
         }
-    }
-
-    /// Cumulative bytes shipped over each link so far, indexed by
-    /// [`rats_platform::LinkId::index`].
-    pub fn link_bytes(&self) -> &[f64] {
-        &self.link_bytes
-    }
-
-    /// The busiest link so far and its byte count, if any traffic flowed.
-    pub fn busiest_link(&self) -> Option<(rats_platform::LinkId, f64)> {
-        let (i, &b) = self
-            .link_bytes
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| a.partial_cmp(b).expect("byte counts are finite"))?;
-        (b > 0.0).then(|| (rats_platform::LinkId::from_index(i), b))
     }
 
     /// Current simulated time in seconds.
@@ -113,36 +76,22 @@ impl<'p> NetSim<'p> {
         self.time
     }
 
-    /// Number of flows still in latency or transfer phase.
-    #[inline]
-    pub fn active_count(&self) -> usize {
-        self.active.len()
-    }
-
-    /// The caller-supplied tag of a flow.
-    #[inline]
-    pub fn tag(&self, k: FlowKey) -> u64 {
-        self.flows[k.index()].tag
-    }
-
     /// Starts a transfer of `bytes` bytes from `src` to `dst` **at the
-    /// current simulation time**; `tag` is an opaque caller identifier.
+    /// current simulation time**; `tag` is an opaque caller identifier that
+    /// [`advance_to`](Self::advance_to) returns when the flow completes.
     ///
-    /// Local transfers (`src == dst`) and empty payloads complete instantly
-    /// (the paper's zero-cost same-processor rule) and return
-    /// [`StartOutcome::Instant`].
-    pub fn start_flow(&mut self, src: u32, dst: u32, bytes: f64, tag: u64) -> StartOutcome {
+    /// Returns whether a network flow was created: local transfers
+    /// (`src == dst`) and empty payloads complete instantly (the paper's
+    /// zero-cost same-processor rule) and return `false`.
+    pub fn start_flow(&mut self, src: u32, dst: u32, bytes: f64, tag: u64) -> bool {
         assert!(
             bytes.is_finite() && bytes >= 0.0,
             "flow size must be finite and non-negative, got {bytes}"
         );
         if src == dst || bytes == 0.0 {
-            return StartOutcome::Instant;
+            return false;
         }
         let route = self.platform.route(src, dst);
-        let links: Vec<usize> = route.links().iter().map(|l| l.index()).collect();
-        let rate_cap = self.platform.flow_rate_cap(src, dst);
-        let key = FlowKey::from_index(self.flows.len());
         let phase = if route.latency_s > 0.0 {
             Phase::Latency {
                 until: self.time + route.latency_s,
@@ -152,16 +101,15 @@ impl<'p> NetSim<'p> {
             Phase::Transfer
         };
         self.flows.push(Flow {
-            links,
-            rate_cap,
+            links: route.links().iter().map(|l| l.index()).collect(),
+            rate_cap: self.platform.flow_rate_cap(src, dst),
             remaining: bytes,
             size: bytes,
             rate: 0.0,
             phase,
             tag,
         });
-        self.active.push(key);
-        StartOutcome::Started(key)
+        true
     }
 
     /// The next time anything happens inside the network (a latency phase
@@ -169,18 +117,11 @@ impl<'p> NetSim<'p> {
     pub fn next_event(&mut self) -> Option<f64> {
         self.refresh_rates();
         let mut next = f64::INFINITY;
-        for &k in &self.active {
-            let f = &self.flows[k.index()];
+        for f in &self.flows {
             let t = match f.phase {
                 Phase::Latency { until } => until,
-                Phase::Transfer => {
-                    if f.rate > 0.0 {
-                        self.time + f.remaining / f.rate
-                    } else {
-                        f64::INFINITY
-                    }
-                }
-                Phase::Done => unreachable!("done flows are not active"),
+                Phase::Transfer if f.rate > 0.0 => self.time + f.remaining / f.rate,
+                Phase::Transfer => f64::INFINITY,
             };
             next = next.min(t);
         }
@@ -188,12 +129,13 @@ impl<'p> NetSim<'p> {
     }
 
     /// Advances the simulation to time `t` (which must not skip past the
-    /// next event) and returns the flows that completed at `t`.
+    /// next event) and returns the tags of the flows that completed at `t`,
+    /// in start order.
     ///
     /// # Panics
     ///
     /// Panics if `t` is in the past or beyond the next event.
-    pub fn advance_to(&mut self, t: f64) -> Vec<FlowKey> {
+    pub fn advance_to(&mut self, t: f64) -> Vec<u64> {
         assert!(
             t.is_finite() && t >= self.time - 1e-12,
             "time went backwards"
@@ -207,49 +149,30 @@ impl<'p> NetSim<'p> {
         let dt = (t - self.time).max(0.0);
         self.time = t;
         if dt > 0.0 {
-            for &k in &self.active {
-                let f = &mut self.flows[k.index()];
+            for f in &mut self.flows {
                 if f.phase == Phase::Transfer {
-                    let moved = f.rate * dt;
-                    f.remaining -= moved;
-                    for &l in &f.links {
-                        self.link_bytes[l] += moved;
-                    }
+                    f.remaining -= f.rate * dt;
                 }
             }
         }
         // Phase transitions due at t.
         let mut completed = Vec::new();
         let eps_t = 1e-12 + t.abs() * 1e-12;
-        self.active.retain(|&k| {
-            let f = &mut self.flows[k.index()];
-            match f.phase {
-                Phase::Latency { until } if until <= t + eps_t => {
-                    f.phase = Phase::Transfer;
-                    self.dirty = true;
-                    true
-                }
-                Phase::Transfer if f.remaining <= f.size * 1e-9 => {
-                    f.phase = Phase::Done;
-                    f.remaining = 0.0;
-                    self.dirty = true;
-                    completed.push(k);
-                    false
-                }
-                _ => true,
+        let dirty = &mut self.dirty;
+        self.flows.retain_mut(|f| match f.phase {
+            Phase::Latency { until } if until <= t + eps_t => {
+                f.phase = Phase::Transfer;
+                *dirty = true;
+                true
             }
+            Phase::Transfer if f.remaining <= f.size * 1e-9 => {
+                *dirty = true;
+                completed.push(f.tag);
+                false
+            }
+            _ => true,
         });
         completed
-    }
-
-    /// Runs the network until every flow completed; returns the final time
-    /// and all completions in chronological order.
-    pub fn run_to_completion(&mut self) -> (f64, Vec<FlowKey>) {
-        let mut all = Vec::new();
-        while let Some(t) = self.next_event() {
-            all.extend(self.advance_to(t));
-        }
-        (self.time, all)
     }
 
     /// Recomputes max-min fair rates if the transferring set changed.
@@ -258,34 +181,20 @@ impl<'p> NetSim<'p> {
             return;
         }
         self.dirty = false;
-        let transferring: Vec<FlowKey> = self
-            .active
-            .iter()
-            .copied()
-            .filter(|&k| self.flows[k.index()].phase == Phase::Transfer)
-            .collect();
-        let problem = Problem {
-            capacity: (0..self.platform.num_links())
-                .map(|l| {
-                    self.platform
-                        .link(rats_platform::LinkId::from_index(l))
-                        .bandwidth_bps
-                })
-                .collect(),
-            flows: transferring
-                .iter()
-                .map(|&k| {
-                    let f = &self.flows[k.index()];
-                    FlowSpec {
-                        links: f.links.clone(),
-                        rate_cap: f.rate_cap,
-                    }
-                })
-                .collect(),
-        };
-        let rates = problem.solve();
-        for (&k, r) in transferring.iter().zip(rates) {
-            self.flows[k.index()].rate = r;
+        let transferring = |f: &&mut Flow| f.phase == Phase::Transfer;
+        self.problem.flows.clear();
+        self.problem.flows.extend(
+            self.flows
+                .iter_mut()
+                .filter(transferring)
+                .map(|f| FlowSpec {
+                    links: f.links.clone(),
+                    rate_cap: f.rate_cap,
+                }),
+        );
+        let rates = self.problem.solve();
+        for (f, r) in self.flows.iter_mut().filter(transferring).zip(rates) {
+            f.rate = r;
         }
     }
 }
@@ -309,13 +218,23 @@ mod tests {
         }
     }
 
+    /// Runs the network until every flow completed; returns the final time
+    /// and the tags of all completions in chronological order.
+    fn drain(net: &mut NetSim) -> (f64, Vec<u64>) {
+        let mut all = Vec::new();
+        while let Some(t) = net.next_event() {
+            all.extend(net.advance_to(t));
+        }
+        (net.time(), all)
+    }
+
     #[test]
     fn local_transfer_is_instant() {
         let spec = zero_latency_cluster(2);
         let p = Platform::from_spec(&spec);
         let mut net = NetSim::new(&p);
-        assert_eq!(net.start_flow(0, 0, 1e9, 0), StartOutcome::Instant);
-        assert_eq!(net.start_flow(0, 1, 0.0, 0), StartOutcome::Instant);
+        assert!(!net.start_flow(0, 0, 1e9, 0));
+        assert!(!net.start_flow(0, 1, 0.0, 0));
         assert_eq!(net.next_event(), None);
     }
 
@@ -324,13 +243,12 @@ mod tests {
         let spec = zero_latency_cluster(2);
         let p = Platform::from_spec(&spec);
         let mut net = NetSim::new(&p);
-        net.start_flow(0, 1, 200.0, 7);
+        assert!(net.start_flow(0, 1, 200.0, 7));
         let t = net.next_event().unwrap();
         assert!((t - 2.0).abs() < 1e-9, "200 B at 100 B/s: t = {t}");
         let done = net.advance_to(t);
-        assert_eq!(done.len(), 1);
-        assert_eq!(net.tag(done[0]), 7);
-        assert_eq!(net.active_count(), 0);
+        assert_eq!(done, [7]);
+        assert!(net.flows.is_empty());
     }
 
     #[test]
@@ -358,7 +276,7 @@ mod tests {
         // Two flows into the same receiver: its link (100 B/s) is shared.
         net.start_flow(0, 2, 100.0, 1);
         net.start_flow(1, 2, 100.0, 2);
-        let (t, done) = net.run_to_completion();
+        let (t, done) = drain(&mut net);
         assert!((t - 2.0).abs() < 1e-9, "t = {t}");
         assert_eq!(done.len(), 2);
     }
@@ -374,7 +292,7 @@ mod tests {
         net.start_flow(0, 2, 200.0, 1);
         net.advance_to(1.0);
         net.start_flow(1, 2, 100.0, 2);
-        let (t, done) = net.run_to_completion();
+        let (t, done) = drain(&mut net);
         assert!((t - 3.0).abs() < 1e-9, "t = {t}");
         assert_eq!(done.len(), 2);
     }
@@ -391,8 +309,7 @@ mod tests {
         let t1 = net.next_event().unwrap();
         assert!((t1 - 2.0).abs() < 1e-9);
         let done = net.advance_to(t1);
-        assert_eq!(done.len(), 1);
-        assert_eq!(net.tag(done[0]), 1);
+        assert_eq!(done, [1]);
         let t2 = net.next_event().unwrap();
         assert!((t2 - 4.0).abs() < 1e-9, "t2 = {t2}");
     }
@@ -405,7 +322,7 @@ mod tests {
         let p = Platform::from_spec(&spec);
         let mut net = NetSim::new(&p);
         net.start_flow(0, 1, 100.0, 0);
-        let (t, _) = net.run_to_completion();
+        let (t, _) = drain(&mut net);
         // 1 s latency + 100 B at 25 B/s = 5 s.
         assert!((t - 5.0).abs() < 1e-9, "t = {t}");
     }
@@ -424,10 +341,10 @@ mod tests {
                 }
             }
         }
-        let (t, done) = net.run_to_completion();
+        let (t, done) = drain(&mut net);
         assert_eq!(done.len(), started);
         assert!(t > 0.0);
-        assert_eq!(net.active_count(), 0);
+        assert!(net.flows.is_empty());
     }
 
     #[test]
@@ -438,31 +355,6 @@ mod tests {
         let mut net = NetSim::new(&p);
         net.start_flow(0, 1, 100.0, 0);
         net.advance_to(100.0);
-    }
-
-    #[test]
-    fn link_bytes_account_for_all_traffic() {
-        let spec = zero_latency_cluster(3);
-        let p = Platform::from_spec(&spec);
-        let mut net = NetSim::new(&p);
-        net.start_flow(0, 2, 100.0, 1);
-        net.start_flow(1, 2, 50.0, 2);
-        net.run_to_completion();
-        let lb = net.link_bytes();
-        assert!((lb[0] - 100.0).abs() < 1e-6, "sender 0 link: {}", lb[0]);
-        assert!((lb[1] - 50.0).abs() < 1e-6, "sender 1 link: {}", lb[1]);
-        assert!((lb[2] - 150.0).abs() < 1e-6, "receiver link: {}", lb[2]);
-        let (busiest, bytes) = net.busiest_link().unwrap();
-        assert_eq!(busiest.index(), 2);
-        assert!((bytes - 150.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn idle_network_has_no_busiest_link() {
-        let spec = zero_latency_cluster(2);
-        let p = Platform::from_spec(&spec);
-        let net = NetSim::new(&p);
-        assert!(net.busiest_link().is_none());
     }
 
     #[test]

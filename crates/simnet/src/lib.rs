@@ -18,10 +18,12 @@
 //!   optimality conditions);
 //! * [`NetSim`] — an event-driven fluid simulator: flows go through a
 //!   latency phase, then transfer at their fair rate; the embedding
-//!   simulation (e.g. `rats-sim`) advances it to each next event time.
+//!   simulation (e.g. `rats-sim`) advances it to each next event time and
+//!   gets back the caller tags of the flows that completed. It holds only
+//!   the live flows.
 
 pub mod maxmin;
 
 mod engine;
 
-pub use engine::{FlowKey, NetSim, StartOutcome};
+pub use engine::NetSim;
