@@ -68,7 +68,9 @@ pub fn to_text(g: &TaskGraph) -> String {
     out
 }
 
-/// Parses the text format produced by [`to_text`].
+/// Parses the text format produced by [`to_text`]. A graph whose edges close
+/// a cycle is rejected (reported at the last line, where the graph is
+/// complete), so every parsed graph can be scheduled.
 pub fn from_text(text: &str) -> Result<TaskGraph, ParseError> {
     let mut g = TaskGraph::new();
     for (i, raw) in text.lines().enumerate() {
@@ -133,6 +135,12 @@ pub fn from_text(text: &str) -> Result<TaskGraph, ParseError> {
             None => unreachable!("blank lines were skipped"),
         }
     }
+    if let Err(e) = g.topo_order_cached() {
+        return Err(ParseError {
+            line: text.lines().count(),
+            message: e.to_string(),
+        });
+    }
     Ok(g)
 }
 
@@ -188,6 +196,18 @@ mod tests {
         let e = from_text("task t 1 1 0\nedge 0 5 10").unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.message.contains("unknown task"));
+    }
+
+    #[test]
+    fn rejects_cycle() {
+        let e = from_text("task a 1 1 0\ntask b 1 1 0\nedge 0 1 8\nedge 1 0 8\n").unwrap_err();
+        assert_eq!(e.line, 4);
+        assert!(e.message.contains("cycle"), "{e}");
+        assert_eq!(
+            from_text("").unwrap().num_tasks(),
+            0,
+            "empty graphs still parse"
+        );
     }
 
     #[test]

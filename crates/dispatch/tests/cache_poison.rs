@@ -1,5 +1,5 @@
 //! Population-cache corruption must never poison workers: a
-//! digest-mismatched or truncated `scenarios.cache` makes every worker
+//! digest-mismatched, truncated or cyclic `scenarios.cache` makes every worker
 //! silently fall back to regeneration, and the campaign outcome stays
 //! bit-identical to the in-process run.
 
@@ -113,6 +113,36 @@ fn digest_mismatched_cache_falls_back_to_regeneration() {
 
     let (outcome, used_cache) = run_one_worker(&root, &spec, "w-digest");
     assert!(!used_cache, "corrupt cache must be bypassed, not trusted");
+    assert_outcomes_bit_identical(&outcome, &reference);
+    fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn cyclic_cache_with_a_valid_digest_falls_back_to_regeneration() {
+    let root = temp_root("cycle");
+    let spec = custom_spec(45);
+    let reference = spec.run().unwrap();
+    let normalized = spec.normalized();
+    ensure_cache(&root, &normalized, None).unwrap();
+    // Close a cycle by adding the reverse of the first edge right after it,
+    // then re-sign the file so it passes the digest check.
+    let path = root.join(CACHE_FILE);
+    let text = fs::read_to_string(&path).unwrap();
+    let start = text.find("\nedge ").unwrap() + 1;
+    let end = start + text[start..].find('\n').unwrap() + 1;
+    let fields: Vec<&str> = text[start..end].split_whitespace().collect();
+    let back_edge = format!("edge {} {} {}\n", fields[2], fields[1], fields[3]);
+    let body_end = text.rfind("digest ").unwrap();
+    let body = format!("{}{back_edge}{}", &text[..end], &text[end..body_end]);
+    let digest = rats_daggen::fnv1a(body.as_bytes());
+    fs::write(&path, format!("{body}digest {digest:016x}\n")).unwrap();
+    assert!(
+        load_cache(&root, &normalized).is_none(),
+        "a cycle must fail"
+    );
+
+    let (outcome, used_cache) = run_one_worker(&root, &spec, "w-cycle");
+    assert!(!used_cache, "a cyclic cache must be bypassed, not trusted");
     assert_outcomes_bit_identical(&outcome, &reference);
     fs::remove_dir_all(&root).unwrap();
 }

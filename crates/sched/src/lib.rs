@@ -20,18 +20,17 @@
 //!
 //! The decision of *when* to pack or stretch is the open variation point:
 //! every policy is an implementation of the object-safe [`MappingPolicy`]
-//! trait, fed a read-only [`MapView`] of the in-progress mapping. Four
-//! implementations ship with the crate — [`Hcpa`] (the non-adopting
-//! baseline), [`DeltaPolicy`], [`TimeCostPolicy`] and [`CombinedPolicy`] —
-//! and external crates can define their own (see the example in
-//! [`policy`]). The closed [`MappingStrategy`] enum remains as a `Copy`
-//! constructor layer for sweeps and serialized experiment specs; it
-//! delegates to the trait impls, so both forms produce byte-identical
-//! schedules.
+//! trait, fed a read-only [`MapView`] of the in-progress mapping. The
+//! shipped policies are the variants of the `Copy` [`MappingStrategy`] enum
+//! — HCPA (the non-adopting baseline), delta, time-cost and combined —
+//! which implements the trait directly, so sweeps and serialized
+//! experiment specs drive exactly the engine path each strategy declares.
+//! External crates can define their own policies (see the example in
+//! [`policy`]).
 //!
 //! Invalid parameters are reported through [`StrategyError`] by the
 //! `Result` constructors ([`DeltaParams::new`], [`TimeCostParams::new`],
-//! [`CombinedParams::new`], and the policies' `new` functions).
+//! [`CombinedParams::new`], and the enum's `try_rats_*` functions).
 //!
 //! ## The incremental engine
 //!
@@ -57,12 +56,12 @@
 //! use rats_daggen::fft_dag;
 //! use rats_model::CostParams;
 //! use rats_platform::{ClusterSpec, Platform};
-//! use rats_sched::{Scheduler, TimeCostPolicy};
+//! use rats_sched::{MappingStrategy, Scheduler};
 //!
 //! let platform = Platform::from_spec(&ClusterSpec::grillon());
 //! let dag = fft_dag(8, &CostParams::paper(), 42);
 //! let schedule = Scheduler::new(&platform)
-//!     .policy(TimeCostPolicy::new(0.5, true)?)
+//!     .strategy(MappingStrategy::try_rats_time_cost(0.5, true)?)
 //!     .schedule(&dag);
 //! assert!(schedule.makespan_estimate() > 0.0);
 //! schedule.validate(&dag, &platform).unwrap();
@@ -82,10 +81,7 @@ pub mod telemetry;
 
 pub use allocation::{allocate, AllocParams, Allocation, AreaPolicy};
 pub use mapping::Scheduler;
-pub use policy::{
-    CombinedPolicy, DeltaPolicy, Hcpa, MapView, MappingDecision, MappingPolicy, Placement,
-    TimeCostPolicy,
-};
+pub use policy::{MapView, MappingDecision, MappingPolicy, Placement};
 pub use schedule::{Schedule, ScheduleEntry, ScheduleError};
 pub use strategy::{
     CandidatePolicy, CombinedParams, DeltaParams, MappingStrategy, SecondarySort, StrategyError,

@@ -60,7 +60,7 @@ use rats_platform::{Platform, ProcSet, SetMemo};
 use rats_redist::{align_for_self_comm, RedistCache};
 
 use crate::allocation::{allocate, reference_bandwidth, AllocParams, Allocation};
-use crate::policy::{Hcpa, MapView, MappingDecision, MappingPolicy};
+use crate::policy::{MapView, MappingDecision, MappingPolicy};
 use crate::schedule::{Schedule, ScheduleEntry};
 use crate::strategy::{CandidatePolicy, MappingStrategy, SecondarySort};
 
@@ -82,17 +82,16 @@ pub(crate) const SMALL_DAG_TASKS: usize = 64;
 /// use rats_daggen::fft_dag;
 /// use rats_model::CostParams;
 /// use rats_platform::{ClusterSpec, Platform};
-/// use rats_sched::{MappingStrategy, Scheduler, TimeCostPolicy};
+/// use rats_sched::{MappingStrategy, Scheduler};
 ///
 /// let platform = Platform::from_spec(&ClusterSpec::grillon());
 /// let dag = fft_dag(4, &CostParams::tiny(), 42);
-/// // Closed enum and open trait forms of the same policy:
-/// let a = Scheduler::new(&platform)
-///     .strategy(MappingStrategy::rats_time_cost(0.5, true))
-///     .schedule(&dag);
-/// let b = Scheduler::new(&platform)
-///     .policy(TimeCostPolicy::new(0.5, true).unwrap())
-///     .schedule(&dag);
+/// let time_cost = MappingStrategy::rats_time_cost(0.5, true);
+/// let a = Scheduler::new(&platform).strategy(time_cost).schedule(&dag);
+/// a.validate(&dag, &platform).unwrap();
+/// // `strategy` is shorthand for `policy`, which also accepts any
+/// // third-party `MappingPolicy` (see the `policy` module).
+/// let b = Scheduler::new(&platform).policy(time_cost).schedule(&dag);
 /// assert_eq!(a.makespan_estimate(), b.makespan_estimate());
 /// ```
 #[derive(Clone)]
@@ -121,7 +120,7 @@ impl<'p> Scheduler<'p> {
         Self {
             platform,
             alloc_params: AllocParams::default(),
-            policy: Arc::new(Hcpa),
+            policy: Arc::new(MappingStrategy::Hcpa),
             candidates: CandidatePolicy::default(),
         }
     }
@@ -138,14 +137,14 @@ impl<'p> Scheduler<'p> {
         self
     }
 
-    /// Selects the mapping policy from the closed strategy enum
-    /// (backward-compatible short-hand for [`Self::policy`]).
+    /// Selects one of the shipped strategies (shorthand for
+    /// [`Self::policy`]).
     pub fn strategy(self, strategy: MappingStrategy) -> Self {
         self.policy(strategy)
     }
 
     /// Selects the mapping policy. Accepts any [`MappingPolicy`]
-    /// implementation — the shipped ones, a [`MappingStrategy`] value, or a
+    /// implementation — a shipped [`MappingStrategy`] value or a
     /// third-party type (by value or already boxed).
     pub fn policy(mut self, policy: impl Into<Box<dyn MappingPolicy>>) -> Self {
         self.policy = Arc::from(policy.into());
@@ -953,7 +952,9 @@ impl<'a> Mapper<'a> {
     fn finish_lower_bound(&self, t: TaskId, procs: &ProcSet) -> f64 {
         let proc_avail = self.proc_avail(procs);
         let exec = self.exec_on(t, procs.len());
-        if self.small || self.dag.in_degree(t) == 0 {
+        // Single-estimate runs keep no bound scalars; availability alone is
+        // still a sound bound, and the bound only prunes.
+        if self.small || self.single || self.dag.in_degree(t) == 0 {
             return proc_avail + exec;
         }
         let sc = self.bound_scalars(t);
@@ -963,7 +964,7 @@ impl<'a> Mapper<'a> {
     /// The heaviest input edge's predecessor (most data to move) — the
     /// parent worth aligning a fresh candidate set against. Ties on equal
     /// byte counts deterministically go to the predecessor with the
-    /// **lowest** task id, consistent with `DeltaPolicy`'s tie-break
+    /// **lowest** task id, consistent with the delta strategy's tie-break
     /// (pinned by the `heaviest_pred_tie_breaks_to_lowest_id` test).
     pub(crate) fn heaviest_pred(&self, t: TaskId) -> Option<TaskId> {
         self.dag
@@ -1356,7 +1357,7 @@ mod tests {
         g.add_edge(a, d, 1.0);
         g.add_edge(b, d, 2.0);
         let platform = Platform::from_spec(&ClusterSpec::grillon());
-        let policy = Hcpa;
+        let policy = MappingStrategy::Hcpa;
         let mapper = Mapper::new(
             &g,
             &platform,

@@ -209,6 +209,28 @@ fn parity_on_platforms_spanning_procset_tiers() {
     }
 }
 
+#[test]
+fn default_scheduler_takes_the_fused_walk_with_parent_aware_candidates() {
+    // `Scheduler::new` defaults to HCPA, whose single-estimate walk keeps no
+    // bound scalars; parent-aware candidate blocks must still be
+    // min-reduced without them, and match the reference bit for bit.
+    let platform = Platform::from_spec(&ClusterSpec::grillon());
+    let params = DagParams {
+        n: 200,
+        width: 0.5,
+        regularity: 0.5,
+        density: 0.5,
+        jump: 2,
+    };
+    let dag = irregular_dag(&params, &CostParams::paper(), 18);
+    let scheduler = Scheduler::new(&platform).candidate_policy(CandidatePolicy::ParentAware);
+    assert_identical(
+        "default/ParentAware",
+        &scheduler.schedule(&dag),
+        &scheduler.reference_schedule(&dag),
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

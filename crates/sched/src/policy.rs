@@ -4,10 +4,10 @@
 //! The paper fixes a two-step skeleton — HCPA allocation, then list-mapping
 //! with optional *adoption* of a predecessor's processor set, then
 //! contention simulation — and varies only the policy that decides **when**
-//! to adopt. [`MappingPolicy`] is that variation point. The four paper(-ish)
-//! policies ship as [`Hcpa`], [`DeltaPolicy`], [`TimeCostPolicy`] and
-//! [`CombinedPolicy`]; external crates can plug in their own policy without
-//! touching this crate:
+//! to adopt. [`MappingPolicy`] is that variation point. The shipped policies
+//! are the [`MappingStrategy`] variants (HCPA, delta, time-cost and
+//! combined), which implement it directly; external crates can plug in
+//! their own policy without touching this crate:
 //!
 //! ```
 //! use rats_sched::{MapView, MappingDecision, MappingPolicy, Scheduler};
@@ -57,7 +57,7 @@ use rats_platform::ProcSet;
 use crate::mapping::Mapper;
 use crate::schedule::ScheduleEntry;
 use crate::strategy::{
-    CombinedParams, DeltaParams, MappingStrategy, SecondarySort, StrategyError, TimeCostParams,
+    CombinedParams, DeltaParams, MappingStrategy, SecondarySort, TimeCostParams,
 };
 
 /// A fully-evaluated placement candidate: a processor set plus the
@@ -280,23 +280,41 @@ impl<P: MappingPolicy + 'static> From<P> for Box<dyn MappingPolicy> {
     }
 }
 
-/// The HCPA baseline: allocations untouched, default placement only
-/// (redistribution costs are accounted for in the estimates, but no
-/// redistribution-avoiding alternative is searched — the gap RATS closes).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Hcpa;
-
-impl MappingPolicy for Hcpa {
+/// The shipped strategies implement the policy interface directly: the
+/// engine reads its hooks off the variant itself, so every campaign takes
+/// the path its strategy declares.
+impl MappingPolicy for MappingStrategy {
     fn name(&self) -> &str {
-        "HCPA"
+        MappingStrategy::name(self)
+    }
+
+    fn secondary_sort(&self) -> SecondarySort {
+        MappingStrategy::secondary_sort(self)
     }
 
     fn repeats_estimates(&self) -> bool {
-        false
+        // HCPA only ever takes the single default estimate per task.
+        !matches!(self, MappingStrategy::Hcpa)
     }
 
-    fn decide(&self, _view: &MapView<'_, '_>, _task: TaskId) -> MappingDecision {
-        MappingDecision::Default(None)
+    fn memoize_data_ready(&self) -> bool {
+        // Time-cost, measured on dense 10k-task DAGs: the adoption-candidate
+        // dedup leaves the memo a <5% hit rate — two set hashes per miss
+        // cost more than the rare rebuilt walk saves.
+        !matches!(self, MappingStrategy::RatsTimeCost(_))
+    }
+
+    fn decide(&self, view: &MapView<'_, '_>, task: TaskId) -> MappingDecision {
+        match self {
+            // The HCPA baseline: allocations untouched, default placement
+            // only (redistribution costs are accounted for in the
+            // estimates, but no redistribution-avoiding alternative is
+            // searched — the gap RATS closes).
+            MappingStrategy::Hcpa => MappingDecision::Default(None),
+            MappingStrategy::RatsDelta(params) => decide_delta(params, view, task),
+            MappingStrategy::RatsTimeCost(params) => decide_time_cost(params, view, task),
+            MappingStrategy::RatsCombined(params) => decide_combined(params, view, task),
+        }
     }
 }
 
@@ -305,76 +323,41 @@ impl MappingPolicy for Hcpa {
 /// one needing the smallest modification |δ|; ties go to the heaviest input
 /// edge (the biggest avoided redistribution), then to the lowest
 /// predecessor id.
-#[derive(Debug, Clone, Copy)]
-pub struct DeltaPolicy {
-    params: DeltaParams,
-}
-
-impl DeltaPolicy {
-    /// Validated constructor; `mindelta` may be given as the paper's
-    /// negative value or as a magnitude — the sign is dropped.
-    pub fn new(mindelta: f64, maxdelta: f64) -> Result<Self, StrategyError> {
-        Ok(Self {
-            params: DeltaParams::new(mindelta, maxdelta)?,
-        })
-    }
-
-    /// Wraps already-validated parameters.
-    pub fn from_params(params: DeltaParams) -> Self {
-        Self { params }
-    }
-
-    /// The policy's parameters.
-    pub fn params(&self) -> DeltaParams {
-        self.params
-    }
-}
-
-impl MappingPolicy for DeltaPolicy {
-    fn name(&self) -> &str {
-        "delta"
-    }
-
-    fn secondary_sort(&self) -> SecondarySort {
-        SecondarySort::DeltaAscending
-    }
-
-    fn decide(&self, view: &MapView<'_, '_>, task: TaskId) -> MappingDecision {
-        let k = view.allocated(task);
-        // (|δ|, edge bytes, pred) of the best qualifying predecessor.
-        let mut chosen: Option<(u32, f64, TaskId)> = None;
-        for (pred, e) in view.adoptable_predecessors(task) {
-            let np = view.placed_size(pred);
-            let feasible = if np >= k {
-                np - k <= self.params.delta_max(k)
-            } else {
-                k - np <= self.params.delta_min_magnitude(k)
-            };
-            if !feasible {
-                continue;
+fn decide_delta(params: &DeltaParams, view: &MapView<'_, '_>, task: TaskId) -> MappingDecision {
+    let k = view.allocated(task);
+    // (|δ|, edge bytes, pred) of the best qualifying predecessor.
+    let mut chosen: Option<(u32, f64, TaskId)> = None;
+    for (pred, e) in view.adoptable_predecessors(task) {
+        let np = view.placed_size(pred);
+        let feasible = if np >= k {
+            np - k <= params.delta_max(k)
+        } else {
+            k - np <= params.delta_min_magnitude(k)
+        };
+        if !feasible {
+            continue;
+        }
+        let d = np.abs_diff(k);
+        let bytes = view.edge_bytes(e);
+        let better = match chosen {
+            None => true,
+            Some((bd, bb, bp)) => {
+                d < bd || (d == bd && (bytes > bb + 1e-9 || (bytes >= bb - 1e-9 && pred < bp)))
             }
-            let d = np.abs_diff(k);
-            let bytes = view.edge_bytes(e);
-            let better = match chosen {
-                None => true,
-                Some((bd, bb, bp)) => {
-                    d < bd || (d == bd && (bytes > bb + 1e-9 || (bytes >= bb - 1e-9 && pred < bp)))
-                }
-            };
-            if better {
-                chosen = Some((d, bytes, pred));
+        };
+        if better {
+            chosen = Some((d, bytes, pred));
+        }
+    }
+    match chosen {
+        Some((_, _, pred)) => {
+            let procs = view.placement(pred).procs.clone();
+            MappingDecision::Adopt {
+                from_pred: pred,
+                placement: view.estimate_on(task, procs),
             }
         }
-        match chosen {
-            Some((_, _, pred)) => {
-                let procs = view.placement(pred).procs.clone();
-                MappingDecision::Adopt {
-                    from_pred: pred,
-                    placement: view.estimate_on(task, procs),
-                }
-            }
-            None => MappingDecision::Default(None),
-        }
+        None => MappingDecision::Default(None),
     }
 }
 
@@ -388,62 +371,113 @@ impl MappingPolicy for DeltaPolicy {
 /// (section III): adopting a busy parent set that *delays* the task would
 /// contradict the strategy's goal (and, empirically, inverts the paper's
 /// time-cost > delta > HCPA ranking).
-#[derive(Debug, Clone, Copy)]
-pub struct TimeCostPolicy {
-    params: TimeCostParams,
-}
-
-impl TimeCostPolicy {
-    /// Validated constructor.
-    pub fn new(minrho: f64, allow_packing: bool) -> Result<Self, StrategyError> {
-        Ok(Self {
-            params: TimeCostParams::new(minrho, allow_packing)?,
-        })
-    }
-
-    /// Wraps already-validated parameters.
-    pub fn from_params(params: TimeCostParams) -> Self {
-        Self { params }
-    }
-
-    /// The policy's parameters.
-    pub fn params(&self) -> TimeCostParams {
-        self.params
-    }
-}
-
-impl MappingPolicy for TimeCostPolicy {
-    fn name(&self) -> &str {
-        "time-cost"
-    }
-
-    fn memoize_data_ready(&self) -> bool {
-        // Measured on dense 10k-task DAGs: the adoption-candidate dedup
-        // leaves the memo a <5% hit rate — two set hashes per miss cost
-        // more than the rare rebuilt walk saves.
-        false
-    }
-
-    fn secondary_sort(&self) -> SecondarySort {
-        SecondarySort::GainDescending
-    }
-
-    fn decide(&self, view: &MapView<'_, '_>, task: TaskId) -> MappingDecision {
-        let k = view.allocated(task);
-        let own_work = view.work(task, k);
-        let default = view.default_mapping(task);
-        // Stretch (or adopt an equal-size predecessor, ρ = 1): among the
-        // efficient enough candidates (ρ ≥ minrho), take the best finish.
-        let mut best_stretch: Option<(TaskId, Placement)> = None;
-        // ρ is a pure function of the candidate size np, and runs of
-        // predecessors share a size (most are singletons) — remember the
-        // last (np, ρ) instead of re-dividing per predecessor.
-        let mut last_rho: Option<(u32, f64)> = None;
-        for (pred, _) in view.adoptable_predecessors(task) {
-            let np = view.placed_size(pred);
-            if np < k {
-                continue;
+fn decide_time_cost(
+    params: &TimeCostParams,
+    view: &MapView<'_, '_>,
+    task: TaskId,
+) -> MappingDecision {
+    let k = view.allocated(task);
+    let own_work = view.work(task, k);
+    let default = view.default_mapping(task);
+    // Stretch (or adopt an equal-size predecessor, ρ = 1): among the
+    // efficient enough candidates (ρ ≥ minrho), take the best finish.
+    let mut best_stretch: Option<(TaskId, Placement)> = None;
+    // ρ is a pure function of the candidate size np, and runs of
+    // predecessors share a size (most are singletons) — remember the
+    // last (np, ρ) instead of re-dividing per predecessor.
+    let mut last_rho: Option<(u32, f64)> = None;
+    for (pred, _) in view.adoptable_predecessors(task) {
+        let np = view.placed_size(pred);
+        if np < k {
+            continue;
+        }
+        let rho = if own_work == 0.0 {
+            1.0
+        } else {
+            match last_rho {
+                Some((n, r)) if n == np => r,
+                _ => {
+                    let r = own_work / view.work(task, np);
+                    last_rho = Some((np, r));
+                    r
+                }
             }
+        };
+        if rho < params.minrho {
+            continue;
+        }
+        let beat = best_stretch.as_ref().map(|(_, b)| b.finish);
+        let Some(p) = view.estimate_adoption(task, pred, beat) else {
+            continue; // provably cannot beat the incumbent
+        };
+        if best_stretch
+            .as_ref()
+            .is_none_or(|(_, b)| p.finish < b.finish - 1e-15)
+        {
+            best_stretch = Some((pred, p));
+        }
+    }
+    if let Some((pred, placement)) = best_stretch {
+        if placement.finish <= default.finish + 1e-15 {
+            return MappingDecision::Adopt {
+                from_pred: pred,
+                placement,
+            };
+        }
+    }
+    if !params.allow_packing || k == 1 {
+        // No predecessor can be placed on fewer than one processor, so
+        // single-processor allocations have nothing to pack onto.
+        return MappingDecision::Default(Some(default));
+    }
+    // Pack: adopt the smaller predecessor allocation with the best
+    // estimated finish, but only if it beats the default mapping.
+    let mut best_pack: Option<(TaskId, Placement)> = None;
+    for (pred, _) in view.adoptable_predecessors(task) {
+        let np = view.placed_size(pred);
+        if np >= k {
+            continue;
+        }
+        let beat = best_pack.as_ref().map(|(_, b)| b.finish);
+        let Some(p) = view.estimate_adoption(task, pred, beat) else {
+            continue;
+        };
+        if best_pack
+            .as_ref()
+            .is_none_or(|(_, b)| p.finish < b.finish - 1e-15)
+        {
+            best_pack = Some((pred, p));
+        }
+    }
+    match best_pack {
+        Some((pred, placement)) if placement.finish <= default.finish + 1e-15 => {
+            MappingDecision::Adopt {
+                from_pred: pred,
+                placement,
+            }
+        }
+        _ => MappingDecision::Default(Some(default)),
+    }
+}
+
+/// The **combined** strategy (extension beyond the paper, in the direction
+/// of its future-work "automatic tuning"): predecessors within the delta
+/// bounds are candidates; the best estimated finish wins, and the adoption
+/// must not regress versus the default mapping. Stretching additionally
+/// honours the `minrho` efficiency threshold.
+fn decide_combined(
+    params: &CombinedParams,
+    view: &MapView<'_, '_>,
+    task: TaskId,
+) -> MappingDecision {
+    let k = view.allocated(task);
+    let own_work = view.work(task, k);
+    let default = view.default_mapping(task);
+    let mut best: Option<(TaskId, Placement)> = None;
+    let mut last_rho: Option<(u32, f64)> = None;
+    for (pred, _) in view.adoptable_predecessors(task) {
+        let np = view.placed_size(pred);
+        let feasible = if np >= k {
             let rho = if own_work == 0.0 {
                 1.0
             } else {
@@ -456,173 +490,54 @@ impl MappingPolicy for TimeCostPolicy {
                     }
                 }
             };
-            if rho < self.params.minrho {
-                continue;
-            }
-            let beat = best_stretch.as_ref().map(|(_, b)| b.finish);
-            let Some(p) = view.estimate_adoption(task, pred, beat) else {
-                continue; // provably cannot beat the incumbent
-            };
-            if best_stretch
-                .as_ref()
-                .is_none_or(|(_, b)| p.finish < b.finish - 1e-15)
-            {
-                best_stretch = Some((pred, p));
+            np - k <= params.delta.delta_max(k) && rho >= params.minrho
+        } else {
+            k - np <= params.delta.delta_min_magnitude(k)
+        };
+        if !feasible {
+            continue;
+        }
+        let beat = best.as_ref().map(|(_, b)| b.finish);
+        let Some(p) = view.estimate_adoption(task, pred, beat) else {
+            continue;
+        };
+        if best
+            .as_ref()
+            .is_none_or(|(_, b)| p.finish < b.finish - 1e-15)
+        {
+            best = Some((pred, p));
+        }
+    }
+    match best {
+        Some((pred, placement)) if placement.finish <= default.finish + 1e-15 => {
+            MappingDecision::Adopt {
+                from_pred: pred,
+                placement,
             }
         }
-        if let Some((pred, placement)) = best_stretch {
-            if placement.finish <= default.finish + 1e-15 {
-                return MappingDecision::Adopt {
-                    from_pred: pred,
-                    placement,
-                };
-            }
-        }
-        if !self.params.allow_packing || k == 1 {
-            // No predecessor can be placed on fewer than one processor, so
-            // single-processor allocations have nothing to pack onto.
-            return MappingDecision::Default(Some(default));
-        }
-        // Pack: adopt the smaller predecessor allocation with the best
-        // estimated finish, but only if it beats the default mapping.
-        let mut best_pack: Option<(TaskId, Placement)> = None;
-        for (pred, _) in view.adoptable_predecessors(task) {
-            let np = view.placed_size(pred);
-            if np >= k {
-                continue;
-            }
-            let beat = best_pack.as_ref().map(|(_, b)| b.finish);
-            let Some(p) = view.estimate_adoption(task, pred, beat) else {
-                continue;
-            };
-            if best_pack
-                .as_ref()
-                .is_none_or(|(_, b)| p.finish < b.finish - 1e-15)
-            {
-                best_pack = Some((pred, p));
-            }
-        }
-        match best_pack {
-            Some((pred, placement)) if placement.finish <= default.finish + 1e-15 => {
-                MappingDecision::Adopt {
-                    from_pred: pred,
-                    placement,
-                }
-            }
-            _ => MappingDecision::Default(Some(default)),
-        }
+        _ => MappingDecision::Default(Some(default)),
     }
 }
 
-/// The **combined** strategy (extension beyond the paper, in the direction
-/// of its future-work "automatic tuning"): predecessors within the delta
-/// bounds are candidates; the best estimated finish wins, and the adoption
-/// must not regress versus the default mapping. Stretching additionally
-/// honours the `minrho` efficiency threshold.
-#[derive(Debug, Clone, Copy)]
-pub struct CombinedPolicy {
-    params: CombinedParams,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-impl CombinedPolicy {
-    /// Validated constructor (`mindelta` sign is dropped, as in
-    /// [`DeltaPolicy::new`]).
-    pub fn new(mindelta: f64, maxdelta: f64, minrho: f64) -> Result<Self, StrategyError> {
-        Ok(Self {
-            params: CombinedParams::new(DeltaParams::new(mindelta, maxdelta)?, minrho)?,
-        })
-    }
-
-    /// Wraps already-validated parameters.
-    pub fn from_params(params: CombinedParams) -> Self {
-        Self { params }
-    }
-
-    /// The policy's parameters.
-    pub fn params(&self) -> CombinedParams {
-        self.params
-    }
-}
-
-impl MappingPolicy for CombinedPolicy {
-    fn name(&self) -> &str {
-        "combined"
-    }
-
-    fn secondary_sort(&self) -> SecondarySort {
-        SecondarySort::DeltaAscending
-    }
-
-    fn decide(&self, view: &MapView<'_, '_>, task: TaskId) -> MappingDecision {
-        let k = view.allocated(task);
-        let own_work = view.work(task, k);
-        let default = view.default_mapping(task);
-        let mut best: Option<(TaskId, Placement)> = None;
-        let mut last_rho: Option<(u32, f64)> = None;
-        for (pred, _) in view.adoptable_predecessors(task) {
-            let np = view.placed_size(pred);
-            let feasible = if np >= k {
-                let rho = if own_work == 0.0 {
-                    1.0
-                } else {
-                    match last_rho {
-                        Some((n, r)) if n == np => r,
-                        _ => {
-                            let r = own_work / view.work(task, np);
-                            last_rho = Some((np, r));
-                            r
-                        }
-                    }
-                };
-                np - k <= self.params.delta.delta_max(k) && rho >= self.params.minrho
-            } else {
-                k - np <= self.params.delta.delta_min_magnitude(k)
-            };
-            if !feasible {
-                continue;
-            }
-            let beat = best.as_ref().map(|(_, b)| b.finish);
-            let Some(p) = view.estimate_adoption(task, pred, beat) else {
-                continue;
-            };
-            if best
-                .as_ref()
-                .is_none_or(|(_, b)| p.finish < b.finish - 1e-15)
-            {
-                best = Some((pred, p));
-            }
-        }
-        match best {
-            Some((pred, placement)) if placement.finish <= default.finish + 1e-15 => {
-                MappingDecision::Adopt {
-                    from_pred: pred,
-                    placement,
-                }
-            }
-            _ => MappingDecision::Default(Some(default)),
-        }
-    }
-}
-
-/// The closed strategy enum doubles as a policy: it delegates to the
-/// matching trait impl, so `Scheduler::strategy(...)` and
-/// `Scheduler::policy(...)` produce byte-identical schedules (asserted by
-/// the `policy_parity` integration tests).
-impl MappingPolicy for MappingStrategy {
-    fn name(&self) -> &str {
-        MappingStrategy::name(self)
-    }
-
-    fn secondary_sort(&self) -> SecondarySort {
-        MappingStrategy::secondary_sort(self)
-    }
-
-    fn decide(&self, view: &MapView<'_, '_>, task: TaskId) -> MappingDecision {
-        match *self {
-            MappingStrategy::Hcpa => Hcpa.decide(view, task),
-            MappingStrategy::RatsDelta(p) => DeltaPolicy::from_params(p).decide(view, task),
-            MappingStrategy::RatsTimeCost(p) => TimeCostPolicy::from_params(p).decide(view, task),
-            MappingStrategy::RatsCombined(p) => CombinedPolicy::from_params(p).decide(view, task),
+    /// The engine picks its path from these hooks, so each variant pins its
+    /// own: HCPA takes the fused single-estimate walk, time-cost skips the
+    /// `data_ready` memo, delta and combined use both cached forms.
+    #[test]
+    fn strategies_declare_their_engine_hooks() {
+        assert!(!MappingStrategy::Hcpa.repeats_estimates());
+        let time_cost = MappingStrategy::rats_time_cost(0.5, true);
+        assert!(time_cost.repeats_estimates());
+        assert!(!time_cost.memoize_data_ready());
+        for s in [
+            MappingStrategy::rats_delta(0.5, 0.5),
+            MappingStrategy::rats_combined(0.5, 1.0, 0.4),
+        ] {
+            assert!(s.repeats_estimates(), "{}", s.name());
+            assert!(s.memoize_data_ready(), "{}", s.name());
         }
     }
 }

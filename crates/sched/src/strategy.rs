@@ -2,9 +2,8 @@
 //!
 //! [`MappingStrategy`] is the closed, `Copy` enumeration of the shipped
 //! policies — handy for sweeps, tables and serialized experiment specs. It
-//! is a thin constructor layer: each variant delegates its decisions to the
-//! matching [`crate::MappingPolicy`] trait impl in [`crate::policy`], which
-//! is the open extension point. Parameter validation lives in `Result`
+//! implements the open [`crate::MappingPolicy`] extension point itself (see
+//! [`crate::policy`]). Parameter validation lives in `Result`
 //! constructors ([`DeltaParams::new`] and friends) returning
 //! [`StrategyError`]; the enum's short-hand constructors panic on invalid
 //! input for ergonomic literals in examples and tests.

@@ -60,9 +60,9 @@
 //! The mapping step is open: implement
 //! [`MappingPolicy`](sched::MappingPolicy) on your own type and hand it to
 //! [`Pipeline::policy`] (see `examples/custom_policy.rs` and the
-//! [`sched::policy`] module docs). The shipped policies remain available
-//! through the [`MappingStrategy`](sched::MappingStrategy) enum, which is
-//! plain data — handy for sweeps and serialized experiment specs.
+//! [`sched::policy`] module docs). The shipped policies are the variants of
+//! the [`MappingStrategy`](sched::MappingStrategy) enum, which is plain data
+//! — handy for sweeps and serialized experiment specs.
 
 pub use rats_dag as dag;
 pub use rats_daggen as daggen;
@@ -90,8 +90,7 @@ pub mod prelude {
     pub use rats_model::{AmdahlLaw, CostParams, TaskCost};
     pub use rats_platform::{ClusterSpec, Platform, ProcSet};
     pub use rats_sched::{
-        AreaPolicy, CombinedPolicy, DeltaPolicy, Hcpa, MappingPolicy, MappingStrategy, Schedule,
-        Scheduler, StrategyError, TimeCostPolicy,
+        AreaPolicy, MappingPolicy, MappingStrategy, Schedule, Scheduler, StrategyError,
     };
     pub use rats_sim::{simulate, SimOutcome};
     pub use rats_workloads::{

@@ -110,7 +110,7 @@ impl Pipeline {
         Self {
             platform,
             alloc_params: AllocParams::default(),
-            policy: Arc::new(rats_sched::Hcpa),
+            policy: Arc::new(MappingStrategy::Hcpa),
             candidates: CandidatePolicy::default(),
             seed: 0,
         }
@@ -132,11 +132,6 @@ impl Pipeline {
     pub fn policy(mut self, policy: impl Into<Box<dyn MappingPolicy>>) -> Self {
         self.policy = Arc::from(policy.into());
         self
-    }
-
-    /// Backward-compatible alias of [`Self::policy`] for the closed enum.
-    pub fn strategy(self, strategy: MappingStrategy) -> Self {
-        self.policy(strategy)
     }
 
     /// Selects the default-mapping candidate policy (ablation knob).
@@ -224,7 +219,7 @@ mod tests {
         let strategy = MappingStrategy::rats_delta(0.5, 0.5);
 
         let run = Pipeline::from_spec(&spec)
-            .strategy(strategy)
+            .policy(strategy)
             .seed(9)
             .run(&dag);
 
@@ -241,7 +236,7 @@ mod tests {
     #[test]
     fn provenance_records_the_chain() {
         let run = Pipeline::from_spec(&ClusterSpec::chti())
-            .strategy(MappingStrategy::Hcpa)
+            .policy(MappingStrategy::Hcpa)
             .seed(123)
             .run(&fft_dag(2, &CostParams::tiny(), 123));
         assert_eq!(run.provenance.platform, "chti");

@@ -1,35 +1,19 @@
-//! Parity between the closed `MappingStrategy` enum and the open
-//! `MappingPolicy` trait impls: for every variant, both forms must produce
-//! **byte-identical** schedules over the FFT/Strassen/random suite, whether
-//! driven through `Scheduler` or through `Pipeline`.
+//! Parity between the `Pipeline` façade and a hand-wired `Scheduler` +
+//! `simulate` chain: for every `MappingStrategy` variant, both must produce
+//! **byte-identical** schedules and makespans.
 
 use rats::prelude::*;
-use rats::sched::{allocate, AllocParams, CombinedPolicy, MappingStrategy};
+use rats::sched::MappingStrategy;
 
-/// (enum form, trait form) pairs covering every variant.
-fn pairs() -> Vec<(MappingStrategy, Box<dyn MappingPolicy>)> {
-    vec![
-        (MappingStrategy::Hcpa, Box::new(Hcpa)),
-        (
-            MappingStrategy::rats_delta(0.5, 0.5),
-            Box::new(DeltaPolicy::new(0.5, 0.5).unwrap()),
-        ),
-        (
-            MappingStrategy::rats_delta(0.75, 1.0),
-            Box::new(DeltaPolicy::new(-0.75, 1.0).unwrap()),
-        ),
-        (
-            MappingStrategy::rats_time_cost(0.5, true),
-            Box::new(TimeCostPolicy::new(0.5, true).unwrap()),
-        ),
-        (
-            MappingStrategy::rats_time_cost(0.2, false),
-            Box::new(TimeCostPolicy::new(0.2, false).unwrap()),
-        ),
-        (
-            MappingStrategy::rats_combined(0.5, 1.0, 0.4),
-            Box::new(CombinedPolicy::new(0.5, 1.0, 0.4).unwrap()),
-        ),
+/// Strategies covering every variant.
+fn strategies() -> [MappingStrategy; 6] {
+    [
+        MappingStrategy::Hcpa,
+        MappingStrategy::rats_delta(0.5, 0.5),
+        MappingStrategy::rats_delta(-0.75, 1.0),
+        MappingStrategy::rats_time_cost(0.5, true),
+        MappingStrategy::rats_time_cost(0.2, false),
+        MappingStrategy::rats_combined(0.5, 1.0, 0.4),
     ]
 }
 
@@ -53,44 +37,15 @@ fn assert_identical(a: &Schedule, b: &Schedule, context: &str) {
 }
 
 #[test]
-fn enum_and_trait_forms_schedule_identically() {
-    let platform = Platform::from_spec(&ClusterSpec::grillon());
-    for scenario in rats::daggen::suite::mini_suite(&CostParams::paper(), 17) {
-        let alloc = allocate(&scenario.dag, &platform, AllocParams::default());
-        for (strategy, policy) in pairs() {
-            let via_enum = Scheduler::new(&platform)
-                .strategy(strategy)
-                .schedule_with_allocation(&scenario.dag, &alloc);
-            let via_trait = Scheduler::new(&platform)
-                .policy(policy)
-                .schedule_with_allocation(&scenario.dag, &alloc);
-            assert_identical(
-                &via_enum,
-                &via_trait,
-                &format!("{} / {}", scenario.name, strategy.name()),
-            );
-        }
-    }
-}
-
-#[test]
 fn pipeline_matches_scheduler_for_every_variant() {
     let spec = ClusterSpec::chti();
     let platform = Platform::from_spec(&spec);
     let dag = fft_dag(8, &CostParams::paper(), 23);
-    for (strategy, policy) in pairs() {
+    for strategy in strategies() {
         let via_scheduler = Scheduler::new(&platform).strategy(strategy).schedule(&dag);
-        let run = Pipeline::from_spec(&spec).policy(policy).run(&dag);
+        let run = Pipeline::from_spec(&spec).policy(strategy).run(&dag);
         assert_identical(&via_scheduler, &run.schedule, strategy.name());
         let direct = simulate(&dag, &via_scheduler, &platform);
         assert_eq!(run.makespan().to_bits(), direct.makespan.to_bits());
-    }
-}
-
-#[test]
-fn policy_names_match_enum_names() {
-    for (strategy, policy) in pairs() {
-        assert_eq!(strategy.name(), policy.name());
-        assert_eq!(strategy.secondary_sort(), policy.secondary_sort());
     }
 }
