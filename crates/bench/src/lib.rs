@@ -5,8 +5,10 @@
 //!   reference driver, with a committed `BENCH_mapping.json` baseline and
 //!   a `-- --check` regression gate (throughput floor, zero marginal
 //!   allocations per task);
-//! * `maxmin` — the max-min fairness solver under growing flow counts,
-//!   the starting point of the simulator gate.
+//! * `maxmin` — the persistent max-min solver against its retained
+//!   reference at 10, 100 and 1000 flows, with a committed
+//!   `BENCH_sim.json` baseline and a `-- --check` regression gate (speedup
+//!   floor, zero heap operations per warm solve).
 //!
 //! End-to-end and per-layer numbers for the whole job pipeline come from
 //! `perfbench` and `campaign profile`.

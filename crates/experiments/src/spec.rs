@@ -852,6 +852,30 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_link_parameters_fail_validation() {
+        // Both parse (the TOML reader turns 1e999 into ∞) and, unvalidated,
+        // panic the job: an infinite latency never ends its flows'
+        // latency phase, and an infinite zero-latency link leaves an
+        // uncapped flow unbounded in the max-min solve.
+        for link in [
+            "latency_us = 1e999",
+            "latency_us = 0.0\nbandwidth_mbps = 1e999",
+        ] {
+            let doc = format!(
+                "name = \"inf\"\nsuite = \"custom\"\ntotal = 1\nclusters = [\"flat\"]\n\
+                 [[strategies]]\nkind = \"hcpa\"\n\
+                 [[families]]\nkind = \"chain\"\nn = 5\n\
+                 [[topologies]]\nname = \"flat\"\nkind = \"flat\"\nprocs = 4\n{link}\n"
+            );
+            let spec = ExperimentSpec::from_toml(&doc).unwrap();
+            match spec.validate() {
+                Err(SpecError::Invalid(msg)) => assert!(msg.contains("finite"), "{msg}"),
+                other => panic!("`{link}`: expected Invalid, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn custom_spec_hash_tracks_workload_content() {
         let a = ExperimentSpec::from_toml(custom_toml()).unwrap();
         let mut b = ExperimentSpec::from_toml(custom_toml()).unwrap();

@@ -18,6 +18,14 @@ impl LinkSpec {
             bandwidth_bps: 125e6,
         }
     }
+
+    /// Positive, finite bandwidth and non-negative, finite latency.
+    fn is_valid(&self) -> bool {
+        self.bandwidth_bps > 0.0
+            && self.bandwidth_bps.is_finite()
+            && self.latency_s >= 0.0
+            && self.latency_s.is_finite()
+    }
 }
 
 /// Interconnect layout.
@@ -154,12 +162,18 @@ impl ClusterSpec {
     /// cannot hold `num_procs` nodes.
     pub fn validate(&self) {
         assert!(self.num_procs > 0, "cluster must have at least one node");
-        assert!(self.gflops > 0.0, "node speed must be positive");
         assert!(
-            self.node_link.bandwidth_bps > 0.0 && self.node_link.latency_s >= 0.0,
-            "node link must have positive bandwidth and non-negative latency"
+            self.gflops > 0.0 && self.gflops.is_finite(),
+            "node speed must be positive and finite"
         );
-        assert!(self.wmax_bytes > 0.0, "TCP window must be positive");
+        assert!(
+            self.node_link.is_valid(),
+            "node link must have positive bandwidth and non-negative latency, both finite"
+        );
+        assert!(
+            self.wmax_bytes > 0.0 && self.wmax_bytes.is_finite(),
+            "TCP window must be positive and finite"
+        );
         match &self.topology {
             TopologySpec::Flat => {}
             TopologySpec::Hierarchical {
@@ -174,20 +188,20 @@ impl ClusterSpec {
                     self.num_procs
                 );
                 assert!(
-                    uplink.bandwidth_bps > 0.0 && uplink.latency_s >= 0.0,
-                    "uplink must have positive bandwidth and non-negative latency"
+                    uplink.is_valid(),
+                    "uplink must have positive bandwidth and non-negative latency, both finite"
                 );
             }
             TopologySpec::Star { hub } => {
                 assert!(
-                    hub.bandwidth_bps > 0.0 && hub.latency_s >= 0.0,
-                    "hub must have positive bandwidth and non-negative latency"
+                    hub.is_valid(),
+                    "hub must have positive bandwidth and non-negative latency, both finite"
                 );
             }
             TopologySpec::Bus { bus } => {
                 assert!(
-                    bus.bandwidth_bps > 0.0 && bus.latency_s >= 0.0,
-                    "bus must have positive bandwidth and non-negative latency"
+                    bus.is_valid(),
+                    "bus must have positive bandwidth and non-negative latency, both finite"
                 );
             }
         }
@@ -229,6 +243,32 @@ mod tests {
     #[should_panic(expected = "at least one node")]
     fn rejects_empty_cluster() {
         ClusterSpec::flat("x", 0, 1.0).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "both finite")]
+    fn rejects_infinite_latency() {
+        let mut s = ClusterSpec::grillon();
+        s.node_link.latency_s = f64::INFINITY;
+        s.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "both finite")]
+    fn rejects_infinite_hub_bandwidth() {
+        let hub = LinkSpec {
+            latency_s: 0.0,
+            bandwidth_bps: f64::INFINITY,
+        };
+        ClusterSpec::star("s", 4, 1.0, hub).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "TCP window must be positive and finite")]
+    fn rejects_infinite_window() {
+        let mut s = ClusterSpec::grillon();
+        s.wmax_bytes = f64::INFINITY;
+        s.validate();
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Server metrics and the workspace-wide registration entry point.
 //!
 //! The server is where every instrumented layer meets one process, so
-//! [`register_all`] registers the full set — scheduler, shard executor,
-//! dispatch queue and the server's own series — into the global registry.
+//! [`register_all`] registers the full set — scheduler, simulator, shard
+//! executor, dispatch queue and the server's own series — into the global
+//! registry.
 //! Warm-state series are gauges refreshed from the owning
 //! [`WarmState`](crate::warm::WarmState) at collection time
 //! ([`refresh_warm`]): the instance holds the authoritative counters, and
@@ -114,6 +115,7 @@ pub static METRICS: &[Metric] = &[
 pub fn register_all() {
     let registry = rats_telemetry::global();
     registry.register(rats_sched::telemetry::METRICS);
+    registry.register(rats_sim::telemetry::METRICS);
     registry.register(rats_experiments::telemetry::METRICS);
     registry.register(rats_dispatch::telemetry::METRICS);
     registry.register(METRICS);

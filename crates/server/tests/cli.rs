@@ -139,6 +139,8 @@ fn profile_and_metrics_out_through_the_binary() {
         "rats_mapping_map_seconds",
         "rats_mapping_alloc_seconds",
         "rats_mapping_argmin_updates_total",
+        "rats_sim_simulate_seconds",
+        "rats_sim_maxmin_solves_total",
         "hit rates:",
     ] {
         assert!(stdout.contains(needle), "missing `{needle}`:\n{stdout}");
@@ -172,6 +174,10 @@ fn profile_and_metrics_out_through_the_binary() {
     assert!(
         counters.field::<u64>("rats_mapping_runs_total").unwrap() > 0,
         "scheduling counters ride along"
+    );
+    assert!(
+        counters.field::<u64>("rats_sim_events_total").unwrap() > 0,
+        "simulator counters ride along"
     );
     doc.get("histograms")
         .and_then(|h| h.get("rats_shard_job_seconds"))

@@ -10,6 +10,7 @@ use rats_sched::Schedule;
 use rats_simnet::NetSim;
 
 use crate::outcome::{EdgeRedistStats, SimOutcome};
+use crate::telemetry;
 
 /// Total-ordered f64 for the event heap (all times are finite).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,6 +44,7 @@ impl Ord for OrdF64 {
 ///
 /// Panics if the schedule does not cover exactly the tasks of `dag`.
 pub fn simulate(dag: &TaskGraph, schedule: &Schedule, platform: &Platform) -> SimOutcome {
+    let _span = rats_telemetry::span(&telemetry::SIMULATE_SECONDS);
     let n = dag.num_tasks();
     assert_eq!(
         schedule.entries.len(),
@@ -78,7 +80,9 @@ pub fn simulate(dag: &TaskGraph, schedule: &Schedule, platform: &Platform) -> Si
     // Entry tasks have no inputs pending from the start.
     run.start_ready_tasks();
     let mut done = 0usize;
+    let mut events = 0u64;
     while done < n {
+        events += 1;
         let next_task = run.finish_events.peek().map(|Reverse((t, _))| t.0);
         run.now = match (next_task, run.net.next_event()) {
             (Some(a), Some(b)) => a.min(b),
@@ -123,6 +127,8 @@ pub fn simulate(dag: &TaskGraph, schedule: &Schedule, platform: &Platform) -> Si
         // 3. Start whatever became startable.
         run.start_ready_tasks();
     }
+
+    telemetry::flush(events, run.net.stats());
 
     let total_work: f64 = dag
         .task_ids()

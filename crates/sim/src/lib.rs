@@ -28,9 +28,14 @@
 //! `tests/golden.rs` pins every output bit of [`simulate`] (times, byte
 //! counts, work) on a fixed job set by one digest, so a refactor of the
 //! simulator is proven bit-identical by a test.
+//!
+//! [`telemetry`] exports `rats_sim_*` metrics: a wall-time histogram per
+//! [`simulate`] call and counters for events, max-min solves, filling
+//! rounds and flows solved.
 
 mod executor;
 mod outcome;
+pub mod telemetry;
 
 pub use executor::simulate;
 pub use outcome::{EdgeRedistStats, SimOutcome};

@@ -113,3 +113,12 @@ fn simulator_output_matches_the_golden_digest() {
         "simulator output moved: digest {digest:#018x} over {jobs} jobs"
     );
 }
+
+#[test]
+fn golden_holds_with_telemetry_on() {
+    rats_telemetry::set_enabled(true);
+    let solves = rats_sim::telemetry::SOLVES.get();
+    let (_, digest) = jobs_digest();
+    assert_eq!(digest, GOLDEN, "telemetry moved the simulator output");
+    assert!(rats_sim::telemetry::SOLVES.get() > solves);
+}

@@ -1,8 +1,8 @@
 //! Event-driven fluid simulation of network flows.
 
-use rats_platform::{LinkId, Platform};
+use rats_platform::{LinkId, Platform, Route};
 
-use crate::maxmin::{FlowSpec, Problem};
+use crate::maxmin::Solver;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Phase {
@@ -14,7 +14,7 @@ enum Phase {
 
 #[derive(Debug, Clone)]
 struct Flow {
-    links: Vec<usize>,
+    route: Route,
     rate_cap: f64,
     remaining: f64,
     size: f64,
@@ -45,11 +45,26 @@ pub struct NetSim<'p> {
     platform: &'p Platform,
     /// Flows in latency or transfer phase, in start order.
     flows: Vec<Flow>,
-    /// The max-min problem: link capacities are set once, the transferring
+    /// The max-min solver: link capacities are set once, the transferring
     /// flows are refilled on every solve.
-    problem: Problem,
+    solver: Solver,
     time: f64,
     dirty: bool,
+    /// [`next_event`](Self::next_event)'s answer, until a flow starts or
+    /// time advances.
+    next: Option<Option<f64>>,
+    stats: NetStats,
+}
+
+/// Work counters of one [`NetSim`]: what its max-min solves cost.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NetStats {
+    /// Max-min solves (one per change of the transferring set).
+    pub solves: u64,
+    /// Progressive-filling rounds over all solves.
+    pub rounds: u64,
+    /// Flows over all solves (a flow counts once per solve it is in).
+    pub flows: u64,
 }
 
 impl<'p> NetSim<'p> {
@@ -61,12 +76,11 @@ impl<'p> NetSim<'p> {
         Self {
             platform,
             flows: Vec::new(),
-            problem: Problem {
-                capacity,
-                flows: Vec::new(),
-            },
+            solver: Solver::new(capacity),
             time: 0.0,
             dirty: false,
+            next: None,
+            stats: NetStats::default(),
         }
     }
 
@@ -74,6 +88,12 @@ impl<'p> NetSim<'p> {
     #[inline]
     pub fn time(&self) -> f64 {
         self.time
+    }
+
+    /// What the max-min solves of this network have cost so far.
+    #[inline]
+    pub fn stats(&self) -> NetStats {
+        self.stats
     }
 
     /// Starts a transfer of `bytes` bytes from `src` to `dst` **at the
@@ -100,8 +120,9 @@ impl<'p> NetSim<'p> {
             self.dirty = true;
             Phase::Transfer
         };
+        self.next = None;
         self.flows.push(Flow {
-            links: route.links().iter().map(|l| l.index()).collect(),
+            route,
             rate_cap: self.platform.flow_rate_cap(src, dst),
             remaining: bytes,
             size: bytes,
@@ -115,6 +136,9 @@ impl<'p> NetSim<'p> {
     /// The next time anything happens inside the network (a latency phase
     /// ends or a transfer completes), or `None` if the network is idle.
     pub fn next_event(&mut self) -> Option<f64> {
+        if let Some(next) = self.next {
+            return next;
+        }
         self.refresh_rates();
         let mut next = f64::INFINITY;
         for f in &self.flows {
@@ -125,7 +149,9 @@ impl<'p> NetSim<'p> {
             };
             next = next.min(t);
         }
-        next.is_finite().then_some(next)
+        let next = next.is_finite().then_some(next);
+        self.next = Some(next);
+        next
     }
 
     /// Advances the simulation to time `t` (which must not skip past the
@@ -148,6 +174,7 @@ impl<'p> NetSim<'p> {
         }
         let dt = (t - self.time).max(0.0);
         self.time = t;
+        self.next = None;
         if dt > 0.0 {
             for f in &mut self.flows {
                 if f.phase == Phase::Transfer {
@@ -182,20 +209,18 @@ impl<'p> NetSim<'p> {
         }
         self.dirty = false;
         let transferring = |f: &&mut Flow| f.phase == Phase::Transfer;
-        self.problem.flows.clear();
-        self.problem.flows.extend(
-            self.flows
-                .iter_mut()
-                .filter(transferring)
-                .map(|f| FlowSpec {
-                    links: f.links.clone(),
-                    rate_cap: f.rate_cap,
-                }),
-        );
-        let rates = self.problem.solve();
-        for (f, r) in self.flows.iter_mut().filter(transferring).zip(rates) {
+        self.solver.clear();
+        for f in self.flows.iter_mut().filter(transferring) {
+            let links = f.route.links().iter().map(|l| l.index());
+            self.solver.push_flow(links, f.rate_cap);
+        }
+        let rates = self.solver.solve();
+        for (f, &r) in self.flows.iter_mut().filter(transferring).zip(rates) {
             f.rate = r;
         }
+        self.stats.solves += 1;
+        self.stats.rounds += self.solver.rounds();
+        self.stats.flows += self.solver.num_flows() as u64;
     }
 }
 

@@ -13,17 +13,23 @@
 //!
 //! This crate rebuilds that model from scratch:
 //!
-//! * [`maxmin`] — a standalone progressive-filling solver for max-min fair
-//!   rates with per-flow rate caps (property-tested against the two defining
-//!   optimality conditions);
+//! * [`maxmin`] — progressive filling for max-min fair rates with per-flow
+//!   rate caps. [`maxmin::Solver`] is persistent and allocation-free when
+//!   warm, and a filling round touches only the links that still carry
+//!   unfrozen flows plus the flows it freezes. The `reference` cargo
+//!   feature (always on in tests) keeps the original whole-rescan solver
+//!   as `maxmin::reference`, the oracle the parity proptest compares
+//!   `Solver` against `to_bits()` for `to_bits()`; both optimality
+//!   conditions are property-tested on `Solver` too;
 //! * [`NetSim`] — an event-driven fluid simulator: flows go through a
 //!   latency phase, then transfer at their fair rate; the embedding
 //!   simulation (e.g. `rats-sim`) advances it to each next event time and
 //!   gets back the caller tags of the flows that completed. It holds only
-//!   the live flows.
+//!   the live flows, re-solves through one `Solver` whenever the
+//!   transferring set changes, and counts that work in [`NetStats`].
 
 pub mod maxmin;
 
 mod engine;
 
-pub use engine::NetSim;
+pub use engine::{NetSim, NetStats};

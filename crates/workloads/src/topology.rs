@@ -142,6 +142,23 @@ impl TopologyGenSpec {
         if self.backbone_latency_us.is_some_and(|l| l < 0.0) {
             return Err(scoped("`backbone_latency_us` must be ≥ 0".into()));
         }
+        // Checked on the generated values, so NaN and a finite input that
+        // overflows its unit conversion are caught as well.
+        let (node, backbone) = (self.node_link(), self.backbone_link());
+        let finite = [
+            node.latency_s,
+            node.bandwidth_bps,
+            backbone.latency_s,
+            backbone.bandwidth_bps,
+            self.wmax_kib * 1024.0,
+        ];
+        if !finite.iter().all(|x| x.is_finite()) {
+            return Err(scoped(
+                "`latency_us`, `bandwidth_mbps`, `wmax_kib`, `backbone_mbps` and \
+                 `backbone_latency_us` must be finite"
+                    .into(),
+            ));
+        }
         Ok(())
     }
 
@@ -370,6 +387,37 @@ mod tests {
         t.gflops = vec![2.0];
         assert!(t.validate().is_ok());
         t.backbone_mbps = Some(0.0);
+        assert!(t.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_link_parameters() {
+        type Set = fn(&mut TopologyGenSpec, f64);
+        let fields: [(&str, Set); 5] = [
+            ("latency_us", |t, v| t.latency_us = v),
+            ("bandwidth_mbps", |t, v| t.bandwidth_mbps = v),
+            ("wmax_kib", |t, v| t.wmax_kib = v),
+            ("backbone_mbps", |t, v| t.backbone_mbps = Some(v)),
+            ("backbone_latency_us", |t, v| {
+                t.backbone_latency_us = Some(v)
+            }),
+        ];
+        for kind in TopoKind::ALL {
+            for (field, set) in fields {
+                for v in [f64::INFINITY, f64::NAN] {
+                    let mut t = TopologyGenSpec::new("t", kind);
+                    set(&mut t, v);
+                    assert!(
+                        t.validate().is_err(),
+                        "{} `{field}` = {v} validated",
+                        kind.as_str()
+                    );
+                }
+            }
+        }
+        // Finite, but ∞ once converted to bytes/s.
+        let mut t = TopologyGenSpec::new("t", TopoKind::Flat);
+        t.bandwidth_mbps = 1e305;
         assert!(t.validate().is_err());
     }
 
