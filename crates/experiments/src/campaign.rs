@@ -85,7 +85,6 @@ impl PreparedScenario {
     /// Allocates (step one) every scenario of a suite in parallel.
     pub fn prepare(suite: Vec<Scenario>, platform: &Platform, threads: usize) -> Vec<Self> {
         let allocs = parallel_map(&suite, threads, |_, s| {
-            let _span = rats_telemetry::span(&rats_sched::telemetry::ALLOC_SECONDS);
             allocate(&s.dag, platform, AllocParams::default())
         });
         suite
@@ -188,7 +187,6 @@ pub(crate) fn run_jobs<E: From<SpecError>>(
             }
         }
         let computed = parallel_map_pooled(hooks.pool, &misses, threads, |_, s| {
-            let _span = rats_telemetry::span(&rats_sched::telemetry::ALLOC_SECONDS);
             allocate(&s.dag, &platform, AllocParams::default())
         });
         for (s, alloc) in misses.iter().zip(computed) {

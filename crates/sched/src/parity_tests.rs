@@ -153,9 +153,12 @@ fn parity_holds_with_telemetry_spans_active() {
         check_parity(&dag, &platform, name);
     }
     rats_telemetry::set_enabled(false);
-    // And the run actually recorded: placements flushed into the tally.
+    // And the run actually recorded: placements flushed into the tally,
+    // and `allocate` timed itself and counted its grants.
     assert!(crate::telemetry::TASKS.get() > 0);
     assert!(crate::telemetry::MAP_SECONDS.count() > 0);
+    assert!(crate::telemetry::ALLOC_SECONDS.count() > 0);
+    assert!(crate::telemetry::ALLOC_STEPS.get() > 0);
 }
 
 #[test]

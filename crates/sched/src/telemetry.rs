@@ -1,7 +1,8 @@
 //! Mapping-engine metrics: phase histograms (step-one allocation, whole
-//! mapping runs, ready-list rounds) and work counters (estimates evaluated
-//! vs. pruned, `data_ready` memo and [`rats_redist::RedistCache`] hit
-//! rates, [`ArgminTree`](crate::mapping) updates).
+//! mapping runs, ready-list rounds) and work counters (processors granted
+//! by step one, estimates evaluated vs. pruned, `data_ready` memo and
+//! [`rats_redist::RedistCache`] hit rates, [`ArgminTree`](crate::mapping)
+//! updates).
 //!
 //! Everything is observational: the engine never reads a metric back, and
 //! the parity suite pins byte-identical schedules with telemetry enabled.
@@ -14,11 +15,18 @@ use std::cell::Cell;
 use rats_telemetry::{Counter, Histogram, Metric, TIME_BUCKETS};
 
 /// Step-one (CPA/HCPA) allocation wall time, one observation per
-/// [`Scheduler::schedule`](crate::Scheduler::schedule) call.
+/// [`allocate`](crate::allocate) call.
 pub static ALLOC_SECONDS: Histogram = Histogram::new(
     "rats_mapping_alloc_seconds",
-    "Step-one (CPA/HCPA) allocation wall time per scheduling run.",
+    "Step-one (CPA/HCPA) allocation wall time per allocate call.",
     TIME_BUCKETS,
+);
+
+/// Processors granted by the step-one loop, added once per
+/// [`allocate`](crate::allocate) call.
+pub static ALLOC_STEPS: Counter = Counter::new(
+    "rats_mapping_alloc_steps_total",
+    "Processors granted by the step-one (CPA/HCPA) allocation loop.",
 );
 
 /// Whole mapping-step wall time, one observation per run.
@@ -98,6 +106,7 @@ pub static ARGMIN_UPDATES: Counter = Counter::new(
 /// Every metric this crate exports, for registry registration.
 pub static METRICS: &[Metric] = &[
     Metric::Histogram(&ALLOC_SECONDS),
+    Metric::Counter(&ALLOC_STEPS),
     Metric::Histogram(&MAP_SECONDS),
     Metric::Histogram(&ROUND_SECONDS),
     Metric::Counter(&RUNS),

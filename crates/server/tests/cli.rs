@@ -138,6 +138,7 @@ fn profile_and_metrics_out_through_the_binary() {
         "profile: wall ",
         "rats_mapping_map_seconds",
         "rats_mapping_alloc_seconds",
+        "rats_mapping_alloc_steps_total",
         "rats_mapping_argmin_updates_total",
         "rats_sim_simulate_seconds",
         "rats_sim_maxmin_solves_total",
