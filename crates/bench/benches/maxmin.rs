@@ -3,17 +3,25 @@
 //!
 //! Times the persistent [`Solver`] against the retained whole-rescan
 //! reference solver (`maxmin::reference`, `reference` feature) **in the
-//! same run**, on a grillon-like problem at 10, 100 and 1000 flows, counts
-//! heap operations per warm solve, and writes the numbers to
-//! `BENCH_sim.json` at the workspace root.
+//! same run**, in two shapes, counts heap operations, and writes the
+//! numbers to `BENCH_sim.json` at the workspace root:
+//!
+//! * a fixed grillon-like problem at 10, 100 and 1000 flows: the solver's
+//!   flows stay loaded, so a call is one `solve`;
+//! * an event replay in the simulator's traffic shape: 176 live flows over
+//!   47 links, and between solves the three oldest flows leave and three
+//!   new ones arrive (a paper-suite job makes ~636 solves of ~176 flows).
+//!   The solver removes and adds those flows in place; the reference
+//!   rebuilds and solves the whole problem.
 //!
 //! Run modes:
 //!
 //! * `cargo bench -p rats-bench --bench maxmin` — measure and write
 //!   `BENCH_sim.json`;
 //! * `… -- --check` — regression gate: fails (exit 1) if the in-run
-//!   speedup at 100 flows falls below [`SPEEDUP_FLOOR`] or a warm
-//!   `Solver::solve` allocates.
+//!   speedup at 100 flows falls below [`SPEEDUP_FLOOR`], or if once warm a
+//!   `Solver::solve` or an event's `remove_flow`/`add_flow` cycle touches
+//!   the heap.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -25,7 +33,7 @@ use rats_simnet::maxmin::reference::{FlowSpec, Problem};
 use rats_simnet::maxmin::Solver;
 
 /// Heap-op counting allocator: every `alloc`/`realloc` bumps a counter, so
-/// the bench can report heap operations per warm solve.
+/// the bench can report heap operations per warm solve and per event.
 struct CountingAlloc;
 
 static HEAP_OPS: AtomicU64 = AtomicU64::new(0);
@@ -81,13 +89,94 @@ fn problem(n: usize) -> Problem {
     Problem { capacity, flows }
 }
 
-/// One solve as the simulator runs it: refill the flows, then solve.
-fn solver_solve(solver: &mut Solver, p: &Problem) -> f64 {
-    solver.clear();
-    for f in &p.flows {
-        solver.push_flow(f.links.iter().copied(), f.rate_cap);
+/// Live flows of the event replay.
+const REPLAY_FLOWS: usize = 176;
+
+/// Flows that leave, and flows that arrive, between two solves.
+const REPLAY_CHANGES: usize = 3;
+
+/// The event replay's arrivals, cycled: grillon-like 2-link routes, half
+/// of the flows capped at the TCP-window rate.
+fn arrivals() -> Vec<FlowSpec> {
+    let links = 47usize;
+    (0..1024usize)
+        .map(|i| {
+            let src = (i * 13) % links;
+            let dst = (src + 1 + (i * 29) % (links - 1)) % links;
+            FlowSpec {
+                links: vec![src, dst],
+                rate_cap: if i % 2 == 0 { 81.92e6 } else { f64::INFINITY },
+            }
+        })
+        .collect()
+}
+
+/// The event replay on the persistent solver: a ring of live slots whose
+/// oldest [`REPLAY_CHANGES`] are replaced by new arrivals before each solve.
+struct SolverReplay {
+    solver: Solver,
+    slots: Vec<usize>,
+    oldest: usize,
+    next: usize,
+}
+
+impl SolverReplay {
+    fn new(pool: &[FlowSpec]) -> Self {
+        let mut solver = Solver::new(vec![125e6; 47]);
+        let slots = pool[..REPLAY_FLOWS]
+            .iter()
+            .map(|f| solver.add_flow(f.links.iter().copied(), f.rate_cap))
+            .collect();
+        Self {
+            solver,
+            slots,
+            oldest: 0,
+            next: REPLAY_FLOWS,
+        }
     }
-    solver.solve()[0]
+
+    /// One event: three flows leave, three arrive, then a solve.
+    fn event(&mut self, pool: &[FlowSpec]) -> f64 {
+        for _ in 0..REPLAY_CHANGES {
+            let f = &pool[self.next % pool.len()];
+            self.solver.remove_flow(self.slots[self.oldest]);
+            self.slots[self.oldest] = self.solver.add_flow(f.links.iter().copied(), f.rate_cap);
+            self.oldest = (self.oldest + 1) % REPLAY_FLOWS;
+            self.next += 1;
+        }
+        self.solver.solve();
+        self.solver.rate(self.slots[0])
+    }
+}
+
+/// The same replay on the reference: the live flows in a ring, rebuilt
+/// into one problem that is solved from scratch.
+struct ReferenceReplay {
+    problem: Problem,
+    oldest: usize,
+    next: usize,
+}
+
+impl ReferenceReplay {
+    fn new(pool: &[FlowSpec]) -> Self {
+        Self {
+            problem: Problem {
+                capacity: vec![125e6; 47],
+                flows: pool[..REPLAY_FLOWS].to_vec(),
+            },
+            oldest: 0,
+            next: REPLAY_FLOWS,
+        }
+    }
+
+    fn event(&mut self, pool: &[FlowSpec]) -> Vec<f64> {
+        for _ in 0..REPLAY_CHANGES {
+            self.problem.flows[self.oldest] = pool[self.next % pool.len()].clone();
+            self.oldest = (self.oldest + 1) % REPLAY_FLOWS;
+            self.next += 1;
+        }
+        self.problem.solve()
+    }
 }
 
 /// Mean seconds per call of `reference` and `solver`, timed in alternating
@@ -156,22 +245,31 @@ impl Measurement {
 fn measure(n: usize) -> Measurement {
     let p = problem(n);
     let mut solver = Solver::new(p.capacity.clone());
+    let slots: Vec<usize> = p
+        .flows
+        .iter()
+        .map(|f| solver.add_flow(f.links.iter().copied(), f.rate_cap))
+        .collect();
     // Warm the buffers, and check parity while at it.
-    solver_solve(&mut solver, &p);
+    solver.solve();
     let want = p.solve();
     assert!(
-        solver
-            .solve()
+        slots
             .iter()
             .zip(&want)
-            .all(|(a, b)| a.to_bits() == b.to_bits()),
+            .all(|(&s, w)| solver.rate(s).to_bits() == w.to_bits()),
         "solver and reference disagree at {n} flows"
     );
     let before = HEAP_OPS.load(Ordering::Relaxed);
-    black_box(solver_solve(&mut solver, &p));
+    solver.solve();
     let heap_ops_per_warm_solve = HEAP_OPS.load(Ordering::Relaxed) - before;
-    let (reference_s, solver_s, speedup) =
-        time_pair(|| p.solve()[0], || solver_solve(&mut solver, &p));
+    let (reference_s, solver_s, speedup) = time_pair(
+        || p.solve()[0],
+        || {
+            solver.solve();
+            solver.rate(slots[0])
+        },
+    );
     let m = Measurement {
         flows: n,
         rounds: solver.rounds(),
@@ -192,6 +290,80 @@ fn measure(n: usize) -> Measurement {
     m
 }
 
+struct Replay {
+    rounds_per_solve: f64,
+    reference_s: f64,
+    solver_s: f64,
+    /// Median per-pair reference/solver time ratio.
+    speedup: f64,
+    heap_ops_per_event: u64,
+}
+
+impl Replay {
+    fn to_json(&self) -> String {
+        format!(
+            "{{\"live_flows\": {REPLAY_FLOWS}, \"links\": 47, \"changes_per_event\": {REPLAY_CHANGES}, \
+             \"rounds_per_solve\": {:.1}, \"reference_s\": {:.9}, \"solver_s\": {:.9}, \
+             \"speedup\": {:.2}, \"heap_ops_per_event\": {}}}",
+            self.rounds_per_solve,
+            self.reference_s,
+            self.solver_s,
+            self.speedup,
+            self.heap_ops_per_event
+        )
+    }
+}
+
+/// Warm events before the heap count: enough for every ring position, cap
+/// group and link list to reach its working size.
+const WARM_EVENTS: usize = 2000;
+
+fn measure_replay() -> Replay {
+    let pool = arrivals();
+    let mut solver = SolverReplay::new(&pool);
+    let mut reference = ReferenceReplay::new(&pool);
+    // Warm up, checking every rate against the reference on the way.
+    let mut rounds = 0;
+    for _ in 0..WARM_EVENTS {
+        solver.event(&pool);
+        rounds += solver.solver.rounds();
+        let want = reference.event(&pool);
+        assert!(
+            solver
+                .slots
+                .iter()
+                .zip(&want)
+                .all(|(&s, w)| solver.solver.rate(s).to_bits() == w.to_bits()),
+            "solver and reference disagree in the event replay"
+        );
+    }
+    let events = 100;
+    let before = HEAP_OPS.load(Ordering::Relaxed);
+    for _ in 0..events {
+        black_box(solver.event(&pool));
+    }
+    let heap_ops_per_event = (HEAP_OPS.load(Ordering::Relaxed) - before).div_ceil(events);
+    let (reference_s, solver_s, speedup) =
+        time_pair(|| reference.event(&pool)[0], || solver.event(&pool));
+    let r = Replay {
+        rounds_per_solve: rounds as f64 / WARM_EVENTS as f64,
+        reference_s,
+        solver_s,
+        speedup,
+        heap_ops_per_event,
+    };
+    println!(
+        "bench maxmin/replay {REPLAY_FLOWS} flows, {REPLAY_CHANGES} out + {REPLAY_CHANGES} in per solve, \
+         {:.1} rounds   ref {:>10.2?}   solver {:>10.2?}   speedup {:>6.2}x   {} heap ops/event",
+        r.rounds_per_solve,
+        std::time::Duration::from_secs_f64(r.reference_s),
+        std::time::Duration::from_secs_f64(r.solver_s),
+        r.speedup,
+        r.heap_ops_per_event,
+    );
+    r
+}
+
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
     if check {
@@ -206,7 +378,14 @@ fn main() {
             m.heap_ops_per_warm_solve,
             if alloc_ok { "ok" } else { "FAIL" },
         );
-        let failures = i32::from(!speed_ok) + i32::from(!alloc_ok);
+        let r = measure_replay();
+        let event_alloc_ok = r.heap_ops_per_event == 0;
+        println!(
+            "check maxmin/replay {} heap ops/event (ceiling 0) {}",
+            r.heap_ops_per_event,
+            if event_alloc_ok { "ok" } else { "FAIL" },
+        );
+        let failures = i32::from(!speed_ok) + i32::from(!alloc_ok) + i32::from(!event_alloc_ok);
         if failures > 0 {
             eprintln!("bench --check: {failures} gate(s) failed");
             std::process::exit(1);
@@ -216,6 +395,7 @@ fn main() {
     }
 
     let results: Vec<Measurement> = [10, GATE_FLOWS, 1000].into_iter().map(measure).collect();
+    let replay = measure_replay();
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"bench\": \"maxmin\",");
     let _ = writeln!(
@@ -224,8 +404,9 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"gate\": {{\"flows\": {GATE_FLOWS}, \"speedup_floor\": {SPEEDUP_FLOOR}, \"heap_ops_per_warm_solve\": 0}},"
+        "  \"gate\": {{\"flows\": {GATE_FLOWS}, \"speedup_floor\": {SPEEDUP_FLOOR}, \"heap_ops_per_warm_solve\": 0, \"heap_ops_per_event\": 0}},"
     );
+    let _ = writeln!(json, "  \"event_replay\": {},", replay.to_json());
     let _ = writeln!(json, "  \"cases\": [");
     for (i, m) in results.iter().enumerate() {
         let sep = if i + 1 == results.len() { "" } else { "," };

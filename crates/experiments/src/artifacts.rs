@@ -179,7 +179,11 @@ impl Artifact {
 
     /// Renders the artifact from the outcome of its [`Self::spec`] (or of
     /// any campaign covering it).
-    fn render(self, quick: bool, threads: usize, outcome: Option<&SpecOutcome>) -> String {
+    ///
+    /// # Panics
+    ///
+    /// Panics if a computed artifact gets no outcome.
+    pub fn render(self, quick: bool, threads: usize, outcome: Option<&SpecOutcome>) -> String {
         let outcome = || outcome.expect("computed artifacts render from their campaign");
         match self {
             Artifact::Table2 => table2(),

@@ -2,6 +2,7 @@
 //! campaign, and the quick report is pinned byte for byte.
 
 use rats_experiments::artifacts::{paper, Artifact};
+use rats_experiments::spec::SpecOutcome;
 use rats_experiments::tuning::sweep_specs;
 
 /// `campaign paper all --quick` as printed before the artifacts moved onto
@@ -11,6 +12,30 @@ const GOLDEN: &str = include_str!("golden/paper_quick.txt");
 /// `campaign paper fig2_3 --threads 1` at paper scale: grillon × the 557
 /// paper scenarios × the naive strategies (1671 jobs).
 const GOLDEN_FIG2_3: &str = include_str!("golden/paper_fig2_3.txt");
+
+/// FNV-1a over the `to_bits()` of every record's `makespan` and `work` in
+/// the paper-scale fig2_3 outcome (cluster, strategy, scenario order). The
+/// rendered figures round their numbers; this pins the unrounded records.
+const RECORDS_FIG2_3: u64 = 0x390a_9551_3701_8e5f;
+
+/// FNV-1a over the bits of every record's `makespan` and `work`.
+fn records_digest(outcome: &SpecOutcome) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let runs = outcome
+        .clusters
+        .iter()
+        .flat_map(|c| &c.results)
+        .flat_map(|r| &r.runs);
+    for run in runs {
+        for x in [run.makespan, run.work] {
+            for b in x.to_bits().to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
 
 /// Panics with the first differing line if `report` is not `golden`.
 fn assert_matches_golden(what: &str, report: &str, golden: &str) {
@@ -30,17 +55,35 @@ fn quick_report_matches_the_golden_file() {
 }
 
 /// Every number of these figures sits on step-one allocation, step-two
-/// mapping and the simulator at paper scale. Ignored by default: it runs
-/// 1671 jobs (about 10 s in a release build, minutes in a debug one); run
-/// it with `cargo test --release -p rats-experiments --test paper --
-/// --ignored`.
+/// mapping and the simulator at paper scale. The campaign runs once: its
+/// rendering must match the golden text and its records the golden
+/// digest. Ignored by default: it runs 1671 jobs (about 10 s in a release
+/// build, minutes in a debug one); run it with
+/// `cargo test --release -p rats-experiments --test paper -- --ignored`.
 #[test]
 #[ignore]
 fn paper_scale_fig2_3_matches_the_golden_file() {
+    let mut spec = Artifact::Fig2_3
+        .spec(false)
+        .expect("fig2_3 runs a campaign");
+    spec.threads = Some(1);
+    let outcome = spec.run().expect("the built-in paper specs are valid");
     assert_matches_golden(
         "paper-scale fig2_3",
-        &paper(Artifact::Fig2_3, false, 1),
+        &Artifact::Fig2_3.render(false, 1, Some(&outcome)),
         GOLDEN_FIG2_3,
+    );
+    let jobs: usize = outcome
+        .clusters
+        .iter()
+        .flat_map(|c| &c.results)
+        .map(|r| r.runs.len())
+        .sum();
+    assert_eq!(jobs, 1671, "grillon × 557 scenarios × 3 naive strategies");
+    let digest = records_digest(&outcome);
+    assert_eq!(
+        digest, RECORDS_FIG2_3,
+        "paper-scale fig2_3 records digest {digest:#018x}"
     );
 }
 

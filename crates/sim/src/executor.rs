@@ -7,7 +7,7 @@ use rats_dag::{EdgeId, TaskGraph, TaskId};
 use rats_platform::Platform;
 use rats_redist::redistribute;
 use rats_sched::Schedule;
-use rats_simnet::NetSim;
+use rats_simnet::{NetSim, NetStats};
 
 use crate::outcome::{EdgeRedistStats, SimOutcome};
 use crate::telemetry;
@@ -32,6 +32,34 @@ impl Ord for OrdF64 {
     }
 }
 
+/// The network calls [`simulate`]'s event loop makes. [`NetSim`] is the
+/// one network it runs; tests drive the same loop over [`NetSim`] and the
+/// reference engine in lock step.
+trait Network {
+    fn start_flow(&mut self, src: u32, dst: u32, bytes: f64, tag: u64) -> bool;
+    fn next_event(&mut self) -> Option<f64>;
+    fn advance_to(&mut self, t: f64, completed: &mut Vec<u64>);
+    fn stats(&self) -> NetStats;
+}
+
+impl Network for NetSim<'_> {
+    fn start_flow(&mut self, src: u32, dst: u32, bytes: f64, tag: u64) -> bool {
+        NetSim::start_flow(self, src, dst, bytes, tag)
+    }
+
+    fn next_event(&mut self) -> Option<f64> {
+        NetSim::next_event(self)
+    }
+
+    fn advance_to(&mut self, t: f64, completed: &mut Vec<u64>) {
+        NetSim::advance_to(self, t, completed);
+    }
+
+    fn stats(&self) -> NetStats {
+        NetSim::stats(self)
+    }
+}
+
 /// Simulates the execution of `schedule` on `platform`.
 ///
 /// See the crate docs for the model; the short version: redistribution
@@ -45,6 +73,16 @@ impl Ord for OrdF64 {
 /// Panics if the schedule does not cover exactly the tasks of `dag`.
 pub fn simulate(dag: &TaskGraph, schedule: &Schedule, platform: &Platform) -> SimOutcome {
     let _span = rats_telemetry::span(&telemetry::SIMULATE_SECONDS);
+    replay(dag, schedule, platform, &mut NetSim::new(platform))
+}
+
+/// [`simulate`] over the network `net`.
+fn replay<N: Network>(
+    dag: &TaskGraph,
+    schedule: &Schedule,
+    platform: &Platform,
+    net: &mut N,
+) -> SimOutcome {
     let n = dag.num_tasks();
     assert_eq!(
         schedule.entries.len(),
@@ -56,7 +94,8 @@ pub fn simulate(dag: &TaskGraph, schedule: &Schedule, platform: &Platform) -> Si
         dag,
         schedule,
         gflops,
-        net: NetSim::new(platform),
+        net,
+        completed: Vec::new(),
         now: 0.0,
         proc_busy: vec![false; platform.num_procs() as usize],
         started: vec![false; n],
@@ -97,7 +136,8 @@ pub fn simulate(dag: &TaskGraph, schedule: &Schedule, platform: &Platform) -> Si
         // 1. Network completions at `now`. The network clock moves in
         // lock-step even when a task event set `now`, and a transfer ending
         // within the engine's completion tolerance of it completes here.
-        for tag in run.net.advance_to(now) {
+        run.net.advance_to(now, &mut run.completed);
+        for &tag in &run.completed {
             let e = tag as usize;
             run.edge_flows[e] -= 1;
             if run.edge_flows[e] == 0 {
@@ -151,11 +191,13 @@ pub fn simulate(dag: &TaskGraph, schedule: &Schedule, platform: &Platform) -> Si
 }
 
 /// The state of one [`simulate`] run.
-struct Run<'a> {
+struct Run<'a, N> {
     dag: &'a TaskGraph,
     schedule: &'a Schedule,
     gflops: f64,
-    net: NetSim<'a>,
+    net: &'a mut N,
+    /// Tags of the flows the last network advance completed.
+    completed: Vec<u64>,
     now: f64,
     /// Processor occupancy: a task atomically grabs all its processors when
     /// it starts and releases them when it finishes.
@@ -174,7 +216,7 @@ struct Run<'a> {
     edge_stats: Vec<EdgeRedistStats>,
 }
 
-impl Run<'_> {
+impl<N: Network> Run<'_, N> {
     /// Starts the redistribution of edge `e` at the current time. An edge
     /// with no network flow (all data stays on its processors) delivers its
     /// input at once.
@@ -240,6 +282,102 @@ mod tests {
     use rats_model::{CostParams, TaskCost};
     use rats_platform::{ClusterSpec, ProcSet};
     use rats_sched::{MappingStrategy, Scheduler};
+    use rats_simnet::reference;
+
+    /// [`NetSim`] and the reference engine driven by the same calls: every
+    /// returned time must match by `to_bits()` and every completion list
+    /// exactly.
+    struct Lockstep<'p> {
+        net: NetSim<'p>,
+        reference: reference::NetSim<'p>,
+        expected: Vec<u64>,
+    }
+
+    impl Network for Lockstep<'_> {
+        fn start_flow(&mut self, src: u32, dst: u32, bytes: f64, tag: u64) -> bool {
+            let started = self.net.start_flow(src, dst, bytes, tag);
+            assert_eq!(started, self.reference.start_flow(src, dst, bytes, tag));
+            started
+        }
+
+        fn next_event(&mut self) -> Option<f64> {
+            let got = self.net.next_event();
+            let want = self.reference.next_event();
+            assert_eq!(
+                got.map(f64::to_bits),
+                want.map(f64::to_bits),
+                "next_event {got:?} vs reference {want:?}"
+            );
+            got
+        }
+
+        fn advance_to(&mut self, t: f64, completed: &mut Vec<u64>) {
+            self.net.advance_to(t, completed);
+            self.reference.advance_to(t, &mut self.expected);
+            assert_eq!(*completed, self.expected, "completions at {t}");
+        }
+
+        /// Read once per replay, by the telemetry flush: both engines must
+        /// have solved on the same events.
+        fn stats(&self) -> NetStats {
+            let stats = self.net.stats();
+            assert_eq!(stats.solves, self.reference.solves());
+            stats
+        }
+    }
+
+    /// Replays `schedule` through [`Lockstep`], so every network call of
+    /// the event loop is checked against the reference engine.
+    fn assert_engines_agree(dag: &TaskGraph, schedule: &Schedule, p: &Platform) {
+        let mut net = Lockstep {
+            net: NetSim::new(p),
+            reference: reference::NetSim::new(p),
+            expected: Vec::new(),
+        };
+        replay(dag, schedule, p, &mut net);
+    }
+
+    #[test]
+    fn net_sim_matches_the_reference_engine_on_the_mini_suite() {
+        let p = Platform::from_spec(&ClusterSpec::grelon());
+        for scenario in suite::mini_suite(&CostParams::paper(), 21)
+            .iter()
+            .step_by(3)
+        {
+            let sched = Scheduler::new(&p)
+                .strategy(MappingStrategy::rats_time_cost(0.5, true))
+                .schedule(&scenario.dag);
+            assert_engines_agree(&scenario.dag, &sched, &p);
+        }
+    }
+
+    /// Simulator parity at paper scale: the flow traffic `simulate` makes
+    /// for every 9th paper scenario on chti, grillon and grelon under the
+    /// naive strategies, through [`NetSim`] and the reference engine in
+    /// lock step. Ignored by default (a few seconds in release); run it
+    /// with `cargo test --release -p rats-sim --lib -- --ignored
+    /// net_sim_matches_the_reference_engine_at_paper_scale`.
+    #[test]
+    #[ignore]
+    fn net_sim_matches_the_reference_engine_at_paper_scale() {
+        let scenarios = suite::paper_suite(&CostParams::paper(), 20080929);
+        let strategies = [
+            MappingStrategy::Hcpa,
+            MappingStrategy::rats_delta(0.5, 0.5),
+            MappingStrategy::rats_time_cost(0.5, true),
+        ];
+        for spec in ClusterSpec::paper_clusters() {
+            let p = Platform::from_spec(&spec);
+            for scenario in scenarios.iter().step_by(9) {
+                for strategy in strategies {
+                    let sched = Scheduler::new(&p)
+                        .strategy(strategy)
+                        .schedule(&scenario.dag);
+                    assert_engines_agree(&scenario.dag, &sched, &p);
+                }
+            }
+        }
+    }
 
     fn grillon() -> Platform {
         Platform::from_spec(&ClusterSpec::grillon())

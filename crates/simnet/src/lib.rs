@@ -14,22 +14,35 @@
 //! This crate rebuilds that model from scratch:
 //!
 //! * [`maxmin`] — progressive filling for max-min fair rates with per-flow
-//!   rate caps. [`maxmin::Solver`] is persistent and allocation-free when
-//!   warm, and a filling round touches only the links that still carry
-//!   unfrozen flows plus the flows it freezes. The `reference` cargo
-//!   feature (always on in tests) keeps the original whole-rescan solver
-//!   as `maxmin::reference`, the oracle the parity proptest compares
-//!   `Solver` against `to_bits()` for `to_bits()`; both optimality
-//!   conditions are property-tested on `Solver` too;
+//!   rate caps. [`maxmin::Solver`] is persistent: it keeps its flow set
+//!   between solves. [`add_flow`](maxmin::Solver::add_flow) returns a slot,
+//!   [`remove_flow`](maxmin::Solver::remove_flow) frees it for reuse, and
+//!   [`solve`](maxmin::Solver::solve) rates every live flow, read back with
+//!   [`rate`](maxmin::Solver::rate). Each link keeps its flow list and
+//!   flows are grouped by cap value in ascending order, so a solve neither
+//!   re-indexes nor sorts, and once warm nothing allocates. A solve's rates
+//!   depend only on the multiset of `(links, cap)`, so the order flows
+//!   arrived and left in, and which slots they got, cannot move a bit. The
+//!   `reference` cargo feature (always on in tests) keeps the original
+//!   whole-rescan solver as `maxmin::reference`, the oracle the parity
+//!   proptests compare `Solver` against `to_bits()` for `to_bits()` over
+//!   random add/remove sequences; both optimality conditions are
+//!   property-tested on `Solver` too;
 //! * [`NetSim`] — an event-driven fluid simulator: flows go through a
 //!   latency phase, then transfer at their fair rate; the embedding
 //!   simulation (e.g. `rats-sim`) advances it to each next event time and
-//!   gets back the caller tags of the flows that completed. It holds only
-//!   the live flows, re-solves through one `Solver` whenever the
-//!   transferring set changes, and counts that work in [`NetStats`].
+//!   gets back, in a buffer it owns, the caller tags of the flows that
+//!   completed. A flow enters the solver when its latency phase ends and
+//!   leaves it when it completes; `NetSim` re-solves whenever the
+//!   transferring set changes and counts that work in [`NetStats`]. The
+//!   same feature keeps the engine that rebuilt the whole problem per solve
+//!   as `reference::NetSim`, the oracle of the engine parity proptest and
+//!   of `rats-sim`'s paper-scale parity test.
 
 pub mod maxmin;
 
 mod engine;
 
+#[cfg(any(test, feature = "reference"))]
+pub use engine::reference;
 pub use engine::{NetSim, NetStats};
