@@ -6,9 +6,11 @@
 //!   a `-- --check` regression gate (throughput floor, zero marginal
 //!   allocations per task);
 //! * `maxmin` — the persistent max-min solver against its retained
-//!   reference at 10, 100 and 1000 flows, with a committed
-//!   `BENCH_sim.json` baseline and a `-- --check` regression gate (speedup
-//!   floor, zero heap operations per warm solve);
+//!   reference on from-scratch solves at 10, 100 and 1000 flows and on an
+//!   event replay that reports the share of rounds resumed, with a
+//!   committed `BENCH_sim.json` baseline and a `-- --check` regression
+//!   gate (speedup floor, zero heap operations per warm solve and per
+//!   event);
 //! * `allocation` — the incremental step-one allocation against its
 //!   retained whole-pass reference on the large-DAG sweep's irregular
 //!   n=2000 and n=5000 DAGs, with a committed `BENCH_alloc.json` baseline

@@ -52,7 +52,7 @@
 //!     after the report, a per-phase profile: scheduling/shard histograms
 //!     (count, total, mean, occupied buckets) and every engine counter
 //!     (estimator calls and prunes, memo and redistribution cache hit
-//!     rates, argmin-tree updates).
+//!     rates, the share of max-min rounds resumed, argmin-tree updates).
 //!
 //! campaign status <ROOT> [--stale-ms MS] [--json]
 //!     read-only scan of a dispatched campaign's queue directory: per-job
@@ -637,9 +637,12 @@ fn render_profile(wall_seconds: f64) -> String {
             format!("{:.1}% of {total}", hits as f64 / total as f64 * 100.0)
         }
     };
+    // Resumed rounds are counted in the rounds total too.
+    let rounds = rats_sim::telemetry::ROUNDS.get();
+    let resumed = rats_sim::telemetry::ROUNDS_RESUMED.get().min(rounds);
     writeln!(
         out,
-        "\nhit rates: data-ready memo {}, redistribution cache {}",
+        "\nhit rates: data-ready memo {}, redistribution cache {}, max-min rounds resumed {}",
         rate(
             rats_sched::telemetry::MEMO_HITS.get(),
             rats_sched::telemetry::MEMO_MISSES.get()
@@ -648,6 +651,7 @@ fn render_profile(wall_seconds: f64) -> String {
             rats_sched::telemetry::REDIST_HITS.get(),
             rats_sched::telemetry::REDIST_MISSES.get()
         ),
+        rate(resumed, rounds - resumed),
     )
     .unwrap();
     out

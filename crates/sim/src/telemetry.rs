@@ -1,5 +1,6 @@
 //! Simulator metrics: wall time per [`simulate`](crate::simulate) call and
-//! work counters (events, max-min solves, filling rounds, flows solved).
+//! work counters (events, max-min solves, filling rounds, rounds resumed
+//! from the previous solve, flows solved).
 //!
 //! Everything is observational: the simulator never reads a metric back,
 //! and the golden digest holds with telemetry enabled. The event loop does
@@ -34,6 +35,12 @@ pub static ROUNDS: Counter = Counter::new(
     "Progressive-filling rounds across all max-min solves.",
 );
 
+/// Progressive-filling rounds resumed.
+pub static ROUNDS_RESUMED: Counter = Counter::new(
+    "rats_sim_maxmin_rounds_resumed_total",
+    "Progressive-filling rounds that max-min solves took from their replay of the previous solve instead of filling them (counted in rats_sim_maxmin_rounds_total too).",
+);
+
 /// Flows solved.
 pub static FLOWS: Counter = Counter::new(
     "rats_sim_maxmin_flows_total",
@@ -46,6 +53,7 @@ pub static METRICS: &[Metric] = &[
     Metric::Counter(&EVENTS),
     Metric::Counter(&SOLVES),
     Metric::Counter(&ROUNDS),
+    Metric::Counter(&ROUNDS_RESUMED),
     Metric::Counter(&FLOWS),
 ];
 
@@ -54,6 +62,7 @@ pub(crate) fn flush(events: u64, net: NetStats) {
     EVENTS.add(events);
     SOLVES.add(net.solves);
     ROUNDS.add(net.rounds);
+    ROUNDS_RESUMED.add(net.resumed);
     FLOWS.add(net.flows);
 }
 
@@ -65,6 +74,8 @@ mod tests {
     use rats_platform::{ClusterSpec, Platform};
     use rats_sched::Scheduler;
 
+    /// The FFT's butterfly stages redistribute between many processor
+    /// pairs at once, so its solves resume past rounds of the solve before.
     #[test]
     fn simulate_bumps_every_metric() {
         rats_telemetry::set_enabled(true);
@@ -73,7 +84,7 @@ mod tests {
         let sched = Scheduler::new(&p).schedule(&dag);
         // Other tests may simulate concurrently: counters only grow, so
         // each must have grown past its value before this call.
-        let counters = [&EVENTS, &SOLVES, &ROUNDS, &FLOWS];
+        let counters = [&EVENTS, &SOLVES, &ROUNDS, &ROUNDS_RESUMED, &FLOWS];
         let before: Vec<u64> = counters.iter().map(|c| c.get()).collect();
         let runs = SIMULATE_SECONDS.count();
         crate::simulate(&dag, &sched, &p);

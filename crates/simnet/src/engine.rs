@@ -69,8 +69,12 @@ pub struct NetSim<'p> {
 pub struct NetStats {
     /// Max-min solves (one per change of the transferring set).
     pub solves: u64,
-    /// Progressive-filling rounds over all solves.
+    /// Progressive-filling rounds over all solves (the rounds of each
+    /// solution, resumed ones included).
     pub rounds: u64,
+    /// Rounds of `rounds` that solves took from their replay of the solve
+    /// before instead of filling them.
+    pub resumed: u64,
     /// Flows over all solves (a flow counts once per solve it is in).
     pub flows: u64,
 }
@@ -225,6 +229,7 @@ impl<'p> NetSim<'p> {
         self.solver.solve();
         self.stats.solves += 1;
         self.stats.rounds += self.solver.rounds();
+        self.stats.resumed += self.solver.resumed();
         self.stats.flows += self.solver.num_flows() as u64;
     }
 }

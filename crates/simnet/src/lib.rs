@@ -20,13 +20,25 @@
 //!   [`solve`](maxmin::Solver::solve) rates every live flow, read back with
 //!   [`rate`](maxmin::Solver::rate). Each link keeps its flow list and
 //!   flows are grouped by cap value in ascending order, so a solve neither
-//!   re-indexes nor sorts, and once warm nothing allocates. A solve's rates
-//!   depend only on the multiset of `(links, cap)`, so the order flows
-//!   arrived and left in, and which slots they got, cannot move a bit. The
-//!   `reference` cargo feature (always on in tests) keeps the original
+//!   re-indexes nor sorts, and once warm nothing allocates. A solve
+//!   resumes: it keeps a history of the last solve (per filling round the
+//!   increment, the link term and a link attaining it; per round start the
+//!   level, the cap-group pointer and every link's and cap group's state),
+//!   and `add_flow`/`remove_flow` log the links and cap groups they touch.
+//!   The next solve replays that history on the touched links only,
+//!   proves rounds `0..K` unchanged (untouched argmin link, no touched
+//!   share below the link term, same saturation rounds, same cap walk),
+//!   restores the start of round `K` and fills from there, at a cost of
+//!   `O(K · (touched + added + removed))` for the replay plus the rounds
+//!   from `K` on; [`resumed`](maxmin::Solver::resumed) reports `K`. A new
+//!   or emptied cap group forces `K = 0`. A solve's rates depend only on
+//!   the multiset of `(links, cap)`, so the order flows arrived and left
+//!   in, which slots they got and where a solve resumed cannot move a bit.
+//!   The `reference` cargo feature (always on in tests) keeps the original
 //!   whole-rescan solver as `maxmin::reference`, the oracle the parity
 //!   proptests compare `Solver` against `to_bits()` for `to_bits()` over
-//!   random add/remove sequences; both optimality conditions are
+//!   random add/remove sequences (resumed solves also against a fresh
+//!   `Solver`, history included); both optimality conditions are
 //!   property-tested on `Solver` too;
 //! * [`NetSim`] — an event-driven fluid simulator: flows go through a
 //!   latency phase, then transfer at their fair rate; the embedding
@@ -34,7 +46,8 @@
 //!   gets back, in a buffer it owns, the caller tags of the flows that
 //!   completed. A flow enters the solver when its latency phase ends and
 //!   leaves it when it completes; `NetSim` re-solves whenever the
-//!   transferring set changes and counts that work in [`NetStats`]. The
+//!   transferring set changes and counts that work in [`NetStats`]
+//!   (solves, rounds, rounds resumed, flows). The
 //!   same feature keeps the engine that rebuilt the whole problem per solve
 //!   as `reference::NetSim`, the oracle of the engine parity proptest and
 //!   of `rats-sim`'s paper-scale parity test.

@@ -11,19 +11,25 @@
 //! crossing it (they are *bottlenecked* there); whenever a flow hits its own
 //! cap, freeze just that flow; repeat with the survivors.
 //!
-//! [`Solver`] is the implementation the simulator runs: it is persistent
-//! (capacities and the freezing tolerance are set once, and the flow set is
+//! [`Solver`] is the implementation the simulator runs. It is persistent:
+//! capacities and the freezing tolerance are set once, and the flow set is
 //! kept between solves, so a caller adds and removes only the flows that
-//! changed) and a filling round touches only the links that still carry
-//! unfrozen flows plus the flows it freezes. The `reference` module (tests
-//! and the `reference` feature) keeps the original whole-problem rescan as
-//! the oracle: [`Solver::solve`] returns its rates bit for bit.
+//! changed. A filling round touches only the links that still carry
+//! unfrozen flows plus the flows it freezes. And a solve *resumes*: it keeps
+//! a history of the last solve, replays that history on the links the
+//! changes since then touched, and runs filling only from the first round
+//! those changes can alter. The `reference` module (tests and the
+//! `reference` feature) keeps the original whole-problem rescan as the
+//! oracle: [`Solver::solve`] returns its rates bit for bit.
 
 #[cfg(any(test, feature = "reference"))]
 pub mod reference;
 
 /// "No cap group": the flow's cap is not finite.
 const NO_GROUP: u32 = u32::MAX;
+
+/// "None" for a `u32` link, position or round: no link, not listed, never.
+const NONE: u32 = u32::MAX;
 
 /// A persistent max-min fairness solver over a fixed set of links and a
 /// changing set of flows.
@@ -47,17 +53,70 @@ const NO_GROUP: u32 = u32::MAX;
 /// rates equal the `reference` solver's whatever sequence of additions and
 /// removals built the flow set.
 ///
+/// # Resuming
+///
+/// A solve leaves a history for the next one: per round `k`, the increment
+/// `d_k` (after `max(0)`), the link term `dl_k` (the least
+/// `residual / count`) and a link attaining it, and each cap group's
+/// unfrozen count after the round's link freezes; at the start of each
+/// round (and at the end), `level`, the cap-group pointer, the unfrozen
+/// total and every link's residual and unfrozen count and every cap
+/// group's unfrozen count; per link, the round it saturated in; per slot,
+/// the round its flow froze in and whether its cap froze it.
+/// `add_flow` and `remove_flow` log what changed: the *touched* links
+/// (crossed by an added or removed flow), the added slots, and each removed
+/// flow of the last solve with its freeze round, cap group and links.
+///
+/// The next solve replays the history on the touched links. Round `k` is
+/// identical if the recorded argmin link is untouched; every touched link
+/// with unfrozen flows has `residual / count` not below `dl_k` (`<`, so a
+/// NaN share never lowers it); every touched link saturates in round `k`
+/// exactly when it did before; and the cap walk, run on the group counts
+/// patched for removed and added members, ends where it ended before. A
+/// touched link's count is the recorded one less the removed flows and
+/// plus the added flows not yet frozen; an added flow freezes in round `k`
+/// through a saturated touched link or through that cap walk, at the
+/// recorded level. Each identical round's history row is rewritten with the
+/// new values of the touched links and groups, so the history always
+/// describes the latest solve. At the first round `K` that fails, the solve
+/// restores the start-of-round-`K` state from the history, patches the
+/// touched links and groups, and runs the filling loop from there. A flow
+/// counts as frozen if it froze in this solve or its recorded freeze round
+/// is below `K`, so no flag is reset per flow. A new or emptied cap group,
+/// a linkless uncapped flow entering or leaving, and a missing history (the
+/// first solve, or one after a panic) are *structural*: they force `K = 0`,
+/// a fresh solve.
+///
+/// # Why no bit can move
+///
+/// By induction on `k < K`: an untouched link carries only unchanged flows,
+/// and their freeze rounds are unchanged, so its residual and unfrozen
+/// count at the start of round `k` equal the old ones bit for bit, and so
+/// does its saturation test. The checks then make `d_k` (the untouched
+/// argmin still attains the minimum, and the cap term reads the same
+/// pointer and level) and the set of unchanged flows frozen in round `k`
+/// equal to the old ones; a touched link's residual is recomputed by the
+/// same operations a fresh solve performs. A flow frozen before `K` keeps
+/// `level_r.min(cap)` from its unchanged round `r`, and from `K` on the
+/// state equals a fresh solve's state at round `K`, so the rest of the
+/// solve, panics included, is the fresh one's. (A replayed round cannot be
+/// one where a fresh solve would panic: its increment is the recorded,
+/// finite one, and it freezes a flow, since its untouched argmin link
+/// saturates or the pointer group, which the walk check keeps non-empty,
+/// reaches its cap.)
+///
 /// # Cost
 ///
 /// Each link keeps the list of flows crossing it, and each flow its
 /// position in every such list, so adding or removing a flow costs
 /// `O(|links|)` (plus `O(G)` when it creates or empties one of the `G`
 /// distinct finite caps). Flows are grouped by cap value in ascending
-/// order, so no solve sorts. A solve resets residuals, per-link counts and
-/// frozen flags in `O(L + F)`, then costs `O(A)` per filling round, where
-/// `A` is the number of links still carrying an unfrozen flow, plus
-/// `O(|links|)` once per flow when it freezes. Buffers are kept, so once
-/// warm neither a solve nor an add/remove cycle allocates.
+/// order, so no solve sorts. The replay costs `O(K · (touched + added +
+/// removed))`, the restore `O(L + G)`, and each round run from `K` on
+/// `O(A + L + G)`, where `A` is the number of links still carrying an
+/// unfrozen flow (the `L + G` copies the round's start into the history),
+/// plus `O(|links|)` once per flow when it freezes. Buffers are kept, so
+/// once warm neither a solve nor an add/remove cycle allocates.
 #[derive(Debug, Clone)]
 pub struct Solver {
     capacity: Vec<f64>,
@@ -83,11 +142,20 @@ pub struct Solver {
     flows_on_link: Vec<u32>,
     /// Links with `flows_on_link > 0`.
     active: Vec<u32>,
-    frozen: Vec<bool>,
+    /// How each slot's flow froze in the most recent solve.
+    marks: Vec<Mark>,
     rates: Vec<f64>,
     /// Links of the flow being added, checked before any state changes.
     pending: Vec<u32>,
-    rounds: u64,
+    /// Number of the running (or most recent) solve, never 0: a [`Mark`]
+    /// with this stamp froze in it.
+    solve_no: u32,
+    /// First round the running (or most recent) solve filled: a flow whose
+    /// mark records an earlier round froze in the replayed prefix.
+    resume: u32,
+    history: History,
+    log: ChangeLog,
+    scratch: Scratch,
 }
 
 /// One flow position of the solver.
@@ -102,6 +170,8 @@ struct Slot {
     group_pos: u32,
     /// Position in `live`, or `u32::MAX` while free.
     live_pos: u32,
+    /// Position in the change log's added slots, or [`NONE`].
+    added_pos: u32,
 }
 
 /// The live flows sharing one finite cap value.
@@ -111,6 +181,200 @@ struct CapGroup {
     members: Vec<u32>,
     /// Members not yet frozen in the current solve.
     unfrozen: u32,
+}
+
+/// How a slot's flow froze.
+#[derive(Debug, Clone, Copy)]
+struct Mark {
+    /// The solve it froze in (0: none).
+    stamp: u32,
+    /// The round it froze in ([`NONE`] for a flow added since the last
+    /// solve and not yet frozen).
+    round: u32,
+    /// Whether its cap froze it, rather than a saturated link.
+    by_cap: bool,
+}
+
+impl Mark {
+    const UNFROZEN: Mark = Mark {
+        stamp: 0,
+        round: NONE,
+        by_cap: false,
+    };
+}
+
+/// What a solve leaves for the next one to replay (see [`Solver`],
+/// "Resuming"). Link rows are `L` wide and cap-group rows `groups` wide,
+/// by cap-order position.
+#[derive(Debug, Clone, Default)]
+struct History {
+    /// Whether the rest describes the most recent solve: false before the
+    /// first solve and while (or after) a solve panics.
+    valid: bool,
+    /// Filling rounds of that solve.
+    rounds: usize,
+    /// The number of cap groups.
+    groups: usize,
+    // One entry (or row) per round.
+    /// The increment, after `max(0)`.
+    d: Vec<f64>,
+    /// The link term of the increment: the least `residual / count`.
+    link_min: Vec<f64>,
+    /// A link attaining `link_min` ([`NONE`] if no link was active).
+    argmin: Vec<u32>,
+    /// Unfrozen members per cap group after the round's link freezes.
+    group_after: Vec<u32>,
+    // One entry (or row) per round start, plus one for the end.
+    level: Vec<f64>,
+    /// The cap-group pointer (a position in `cap_order`).
+    next_group: Vec<u32>,
+    unfrozen: Vec<u32>,
+    residual: Vec<f64>,
+    count: Vec<u32>,
+    group_count: Vec<u32>,
+    /// Per link: the round it saturated in, or [`NONE`].
+    saturated: Vec<u32>,
+}
+
+impl History {
+    /// Keeps rounds `0..k`, dropping the start of round `k` too: the
+    /// filling loop records it again.
+    fn truncate(&mut self, k: usize, nl: usize) {
+        let ng = self.groups;
+        self.d.truncate(k);
+        self.link_min.truncate(k);
+        self.argmin.truncate(k);
+        self.group_after.truncate(k * ng);
+        self.level.truncate(k);
+        self.next_group.truncate(k);
+        self.unfrozen.truncate(k);
+        self.residual.truncate(k * nl);
+        self.count.truncate(k * nl);
+        self.group_count.truncate(k * ng);
+    }
+}
+
+/// The changes since the last solve, as its replay reads them.
+#[derive(Debug, Clone, Default)]
+struct ChangeLog {
+    /// The next solve must start at round 0.
+    structural: bool,
+    /// Links crossed by an added or removed flow.
+    links: Vec<u32>,
+    /// Per link: its position in `links`, or [`NONE`].
+    link_pos: Vec<u32>,
+    /// Cap groups with an added or removed member.
+    groups: Vec<u32>,
+    /// Per cap-group id: its position in `groups`, or [`NONE`].
+    group_pos: Vec<u32>,
+    /// Live slots added since the last solve.
+    added: Vec<u32>,
+    /// Flows of the last solve removed since.
+    removed: Vec<Removed>,
+    /// The removed flows' links, concatenated.
+    removed_links: Vec<u32>,
+}
+
+/// A flow of the last solve that has been removed.
+#[derive(Debug, Clone, Copy)]
+struct Removed {
+    /// The round it froze in, and whether its cap froze it.
+    round: u32,
+    by_cap: bool,
+    /// Its cap group id, or [`NO_GROUP`].
+    group: u32,
+    /// Its links: `removed_links[start..end]`.
+    start: u32,
+    end: u32,
+}
+
+impl ChangeLog {
+    fn touch_link(&mut self, l: u32) {
+        if self.link_pos[l as usize] == NONE {
+            self.link_pos[l as usize] = self.links.len() as u32;
+            self.links.push(l);
+        }
+    }
+
+    fn touch_group(&mut self, g: u32) {
+        if self.group_pos[g as usize] == NONE {
+            self.group_pos[g as usize] = self.groups.len() as u32;
+            self.groups.push(g);
+        }
+    }
+
+    /// The touched-link position of `l` (which must be touched).
+    #[inline]
+    fn link(&self, l: u32) -> usize {
+        self.link_pos[l as usize] as usize
+    }
+
+    /// The touched-group position of `g` (which must be touched).
+    #[inline]
+    fn group(&self, g: u32) -> usize {
+        self.group_pos[g as usize] as usize
+    }
+
+    /// Empties the log, unmarking what it marked.
+    fn clear(&mut self, slots: &mut [Slot]) {
+        for &l in &self.links {
+            self.link_pos[l as usize] = NONE;
+        }
+        for &g in &self.groups {
+            self.group_pos[g as usize] = NONE;
+        }
+        for &a in &self.added {
+            slots[a as usize].added_pos = NONE;
+        }
+        self.links.clear();
+        self.groups.clear();
+        self.added.clear();
+        self.removed.clear();
+        self.removed_links.clear();
+        self.structural = false;
+    }
+}
+
+/// The replay's working state: the new solve's values on the touched links
+/// and groups at the start of the round being replayed.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Per touched link, in `ChangeLog::links` order.
+    links: Vec<TouchedLink>,
+    /// Per touched cap group, in `ChangeLog::groups` order.
+    groups: Vec<TouchedGroup>,
+    /// Per added slot: whether it freezes in this round, and whether by
+    /// its cap.
+    freezing: Vec<Option<bool>>,
+    /// Removed flows that froze in this round or later.
+    removed_left: u32,
+    /// Added flows not yet frozen.
+    added_left: u32,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct TouchedLink {
+    residual: f64,
+    /// Residual after the round.
+    next: f64,
+    count: u32,
+    /// Crossings of removed flows that froze in this round or later.
+    removed: u32,
+    /// Crossings of added flows not yet frozen.
+    added: u32,
+    saturated: bool,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct TouchedGroup {
+    /// Its position in `cap_order`.
+    position: u32,
+    /// Removed members that froze in this round or later.
+    removed: u32,
+    /// Added members not yet frozen.
+    added: u32,
+    /// Unfrozen members after the round's link freezes.
+    after: u32,
 }
 
 impl Solver {
@@ -142,10 +406,20 @@ impl Solver {
             residual: vec![0.0; nl],
             flows_on_link: vec![0; nl],
             active: Vec::with_capacity(nl),
-            frozen: Vec::new(),
+            marks: Vec::new(),
             rates: Vec::new(),
             pending: Vec::new(),
-            rounds: 0,
+            solve_no: 0,
+            resume: 0,
+            history: History {
+                saturated: vec![NONE; nl],
+                ..History::default()
+            },
+            log: ChangeLog {
+                link_pos: vec![NONE; nl],
+                ..ChangeLog::default()
+            },
+            scratch: Scratch::default(),
             capacity,
         }
     }
@@ -153,6 +427,12 @@ impl Solver {
     /// Number of live flows.
     pub fn num_flows(&self) -> usize {
         self.live.len()
+    }
+
+    /// Whether changes are logged for the next solve's replay: there is a
+    /// history to replay and no structural change has voided it.
+    fn logging(&self) -> bool {
+        self.history.valid && !self.log.structural
     }
 
     /// Adds a flow crossing `links` with rate cap `rate_cap`
@@ -178,13 +458,14 @@ impl Solver {
             Some(slot) => slot,
             None => {
                 self.slots.push(Slot::default());
-                self.frozen.push(false);
+                self.marks.push(Mark::UNFROZEN);
                 self.rates.push(0.0);
                 (self.slots.len() - 1) as u32
             }
         };
         let s = slot as usize;
         self.rates[s] = 0.0;
+        self.marks[s] = Mark::UNFROZEN;
         let mut route = std::mem::take(&mut self.slots[s].route);
         route.clear();
         for &l in &self.pending {
@@ -198,7 +479,21 @@ impl Solver {
             members.push(slot);
             (g, (members.len() - 1) as u32)
         } else {
+            // Frozen at infinity before the first round.
+            self.log.structural |= self.pending.is_empty();
             (NO_GROUP, 0)
+        };
+        let added_pos = if self.logging() {
+            for &l in &self.pending {
+                self.log.touch_link(l);
+            }
+            if group != NO_GROUP {
+                self.log.touch_group(group);
+            }
+            self.log.added.push(slot);
+            (self.log.added.len() - 1) as u32
+        } else {
+            NONE
         };
         self.slots[s] = Slot {
             route,
@@ -206,6 +501,7 @@ impl Solver {
             group,
             group_pos,
             live_pos: self.live.len() as u32,
+            added_pos,
         };
         self.live.push(slot);
         s
@@ -219,6 +515,7 @@ impl Solver {
     pub fn remove_flow(&mut self, slot: usize) {
         let live_pos = self.slots.get(slot).map_or(u32::MAX, |s| s.live_pos);
         assert!(live_pos != u32::MAX, "slot {slot} holds no live flow");
+        self.log_removal(slot);
         // Swap-remove from each crossed link's list, re-pointing the flow
         // that moves into the hole. Entries are re-read each step: with a
         // repeated link, the moved flow may be this one.
@@ -250,6 +547,7 @@ impl Solver {
                 let at = self.cap_position(cap).expect("a live group is ordered");
                 self.cap_order.remove(at);
                 self.free_groups.push(group);
+                self.log.structural = true;
             }
         }
         self.live.swap_remove(live_pos as usize);
@@ -258,6 +556,50 @@ impl Solver {
         }
         self.slots[slot].live_pos = u32::MAX;
         self.free.push(slot as u32);
+    }
+
+    /// Logs the removal of the live flow in `slot`. A flow added since the
+    /// last solve leaves no record (its links stay touched); a flow of the
+    /// last solve leaves how it froze, its cap group and its links.
+    fn log_removal(&mut self, slot: usize) {
+        let added_pos = self.slots[slot].added_pos;
+        if added_pos != NONE {
+            self.log.added.swap_remove(added_pos as usize);
+            if let Some(&moved) = self.log.added.get(added_pos as usize) {
+                self.slots[moved as usize].added_pos = added_pos;
+            }
+            self.slots[slot].added_pos = NONE;
+            return;
+        }
+        if !self.logging() {
+            return;
+        }
+        let Slot {
+            ref route,
+            cap,
+            group,
+            ..
+        } = self.slots[slot];
+        if route.is_empty() && cap.is_infinite() {
+            self.log.structural = true;
+            return;
+        }
+        let start = self.log.removed_links.len() as u32;
+        for &(l, _) in route {
+            self.log.touch_link(l);
+            self.log.removed_links.push(l);
+        }
+        if group != NO_GROUP {
+            self.log.touch_group(group);
+        }
+        let Mark { round, by_cap, .. } = self.marks[slot];
+        self.log.removed.push(Removed {
+            round,
+            by_cap,
+            group,
+            start,
+            end: self.log.removed_links.len() as u32,
+        });
     }
 
     /// Where `cap` sits in `cap_order`: `Ok` at its group, `Err` at the
@@ -275,18 +617,28 @@ impl Solver {
             Err(at) => {
                 let g = self.free_groups.pop().unwrap_or_else(|| {
                     self.groups.push(CapGroup::default());
+                    self.log.group_pos.push(NONE);
                     (self.groups.len() - 1) as u32
                 });
                 self.groups[g as usize].cap = cap;
                 self.cap_order.insert(at, g);
+                self.log.structural = true;
                 g
             }
         }
     }
 
-    /// Filling rounds of the most recent [`solve`](Self::solve).
+    /// Filling rounds of the most recent [`solve`](Self::solve): the
+    /// rounds of its solution, [`resumed`](Self::resumed) ones included.
     pub fn rounds(&self) -> u64 {
-        self.rounds
+        self.history.rounds as u64
+    }
+
+    /// Rounds the most recent [`solve`](Self::solve) took from its
+    /// replay of the solve before instead of filling them: `K`, the first
+    /// round the changes in between could alter (0 for a fresh solve).
+    pub fn resumed(&self) -> u64 {
+        u64::from(self.resume)
     }
 
     /// The rate of the flow in `slot` from the most recent
@@ -306,14 +658,39 @@ impl Solver {
     /// the same flows (a flow's freezing test reads only the round's
     /// `residual` and `level`, so the order flows are visited in cannot
     /// matter). Links without unfrozen flows are skipped: their residual
-    /// would not change.
+    /// would not change. The solve replays the previous one first and
+    /// fills only from the first round the changes since then can alter
+    /// (see [`Solver`], "Resuming").
     ///
     /// # Panics
     ///
     /// Panics if the problem is unbounded (an uncapped flow crosses only
     /// infinite-capacity links) or filling stalls.
     pub fn solve(&mut self) {
-        self.rounds = 0;
+        self.solve_no = self.solve_no.wrapping_add(1);
+        if self.solve_no == 0 {
+            // The stamps wrapped: forget them all, so none can match.
+            for m in &mut self.marks {
+                m.stamp = 0;
+            }
+            self.solve_no = 1;
+        }
+        let resume = if self.logging() { self.replay() } else { 0 };
+        self.history.valid = false;
+        let (level, next_group, unfrozen) = if resume == 0 {
+            self.start()
+        } else {
+            self.restore(resume)
+        };
+        self.log.clear(&mut self.slots);
+        self.fill(resume, level, next_group, unfrozen);
+        self.history.valid = true;
+    }
+
+    /// Sets up a fresh solve at round 0; returns `level`, the cap-group
+    /// pointer and the unfrozen total.
+    fn start(&mut self) -> (f64, usize, usize) {
+        self.resume = 0;
         self.residual.copy_from_slice(&self.capacity);
         self.active.clear();
         for (l, flows) in self.on_link.iter().enumerate() {
@@ -326,33 +703,320 @@ impl Solver {
             let g = &mut self.groups[g as usize];
             g.unfrozen = g.members.len() as u32;
         }
-        let mut next_group = 0; // into `cap_order`
+        let h = &mut self.history;
+        h.groups = self.cap_order.len();
+        h.truncate(0, 0);
+        h.saturated.fill(NONE);
 
-        let mut level = 0.0f64; // common rate of all unfrozen flows
         let mut unfrozen = self.live.len();
-
         // Flows with no links and no cap would grow forever: freeze them at
         // infinity straight away.
         for &i in &self.live {
             let i = i as usize;
             let slot = &self.slots[i];
-            let unbounded = slot.route.is_empty() && slot.cap.is_infinite();
-            self.frozen[i] = unbounded;
-            if unbounded {
+            if slot.route.is_empty() && slot.cap.is_infinite() {
                 self.rates[i] = f64::INFINITY;
+                self.marks[i] = Mark {
+                    stamp: self.solve_no,
+                    round: 0,
+                    by_cap: false,
+                };
                 unfrozen -= 1;
             }
         }
+        (0.0, 0, unfrozen)
+    }
 
-        while unfrozen > 0 {
-            self.rounds += 1;
+    /// Replays the history of the last solve against the change log and
+    /// returns `K`, the first round that changes (the last solve's round
+    /// count if none does). Rounds `0..K` are rewritten in the history with
+    /// the new values of the touched links and groups, and the added flows
+    /// that freeze in them are frozen; the scratch is left at the start of
+    /// round `K` for [`restore`](Self::restore).
+    fn replay(&mut self) -> u32 {
+        let log = &self.log;
+        let s = &mut self.scratch;
+        debug_assert_eq!(self.history.groups, self.cap_order.len());
+        s.links.clear();
+        s.links.extend(log.links.iter().map(|&l| TouchedLink {
+            residual: self.capacity[l as usize],
+            ..TouchedLink::default()
+        }));
+        s.groups.clear();
+        s.groups.extend(log.groups.iter().map(|&g| {
+            let cap = self.groups[g as usize].cap;
+            let position = self
+                .cap_order
+                .binary_search_by(|&o| self.groups[o as usize].cap.total_cmp(&cap))
+                .expect("a touched group is ordered");
+            TouchedGroup {
+                position: position as u32,
+                ..TouchedGroup::default()
+            }
+        }));
+        s.freezing.clear();
+        s.freezing.resize(log.added.len(), None);
+        for r in &log.removed {
+            for &l in &log.removed_links[r.start as usize..r.end as usize] {
+                s.links[log.link(l)].removed += 1;
+            }
+            if r.group != NO_GROUP {
+                s.groups[log.group(r.group)].removed += 1;
+            }
+        }
+        for &a in &log.added {
+            let slot = &self.slots[a as usize];
+            for &(l, _) in &slot.route {
+                s.links[log.link(l)].added += 1;
+            }
+            if slot.group != NO_GROUP {
+                s.groups[log.group(slot.group)].added += 1;
+            }
+        }
+        s.removed_left = log.removed.len() as u32;
+        s.added_left = log.added.len() as u32;
+        let mut k = 0;
+        while k < self.history.rounds && self.replay_round(k) {
+            k += 1;
+        }
+        k as u32
+    }
+
+    /// Checks that round `k` of the new solve is the last solve's round `k`
+    /// on the untouched links and groups; if so, rewrites the round's
+    /// history row for the touched ones, freezes the added flows that
+    /// freeze in it and steps the scratch to round `k + 1`.
+    fn replay_round(&mut self, k: usize) -> bool {
+        let Self {
+            capacity,
+            eps,
+            slots,
+            groups,
+            cap_order,
+            marks,
+            rates,
+            solve_no,
+            history: h,
+            log,
+            scratch: s,
+            ..
+        } = self;
+        let (row, grow) = (k * capacity.len(), k * h.groups);
+        let round = k as u32;
+        // The increment: the recorded link term must still be the least,
+        // so its argmin must be untouched and no touched share below it.
+        let argmin = h.argmin[k];
+        if argmin != NONE && log.link_pos[argmin as usize] != NONE {
+            return false;
+        }
+        let (link_min, d) = (h.link_min[k], h.d[k]);
+        for (t, &l) in s.links.iter_mut().zip(&log.links) {
+            let l = l as usize;
+            let count = h.count[row + l] - t.removed + t.added;
+            let mut next = t.residual;
+            if count > 0 {
+                // `<` as in the filling round: a NaN share never lowers it.
+                if t.residual / f64::from(count) < link_min {
+                    return false;
+                }
+                next -= d * f64::from(count);
+            }
+            let saturated = count > 0 && next <= *eps;
+            if saturated != (h.saturated[l] == round) {
+                return false;
+            }
+            t.count = count;
+            t.next = next;
+            t.saturated = saturated;
+        }
+        let level = h.level[k + 1];
+
+        // Link freezes: an added flow freezes if one of its (touched) links
+        // saturates.
+        let mut freezing = 0;
+        for (f, &a) in s.freezing.iter_mut().zip(&log.added) {
+            let link_frozen = marks[a as usize].round == NONE
+                && slots[a as usize]
+                    .route
+                    .iter()
+                    .any(|&(l, _)| s.links[log.link(l)].saturated);
+            *f = link_frozen.then_some(false);
+            freezing += u32::from(link_frozen);
+        }
+        // Cap groups after the link freezes: the recorded count, less the
+        // removed members it counted, plus the added members still unfrozen.
+        for g in &mut s.groups {
+            g.after = h.group_after[grow + g.position as usize] + g.added;
+        }
+        let mut removed_now = 0;
+        for r in &log.removed {
+            if r.round == round {
+                removed_now += 1;
+                if !r.by_cap && r.group != NO_GROUP {
+                    s.groups[log.group(r.group)].after += 1;
+                }
+            }
+        }
+        for (f, &a) in s.freezing.iter().zip(&log.added) {
+            let group = slots[a as usize].group;
+            if f.is_some() && group != NO_GROUP {
+                s.groups[log.group(group)].after -= 1;
+            }
+        }
+        for g in &mut s.groups {
+            g.after -= g.removed;
+        }
+        // The cap walk on those counts must end where it ended before.
+        let mut p = h.next_group[k] as usize;
+        while let Some(&g) = cap_order.get(p) {
+            let j = log.group_pos[g as usize];
+            let count = if j == NONE {
+                h.group_after[grow + p]
+            } else {
+                s.groups[j as usize].after
+            };
+            if count > 0 {
+                if level < groups[g as usize].cap - *eps {
+                    break;
+                }
+                if j != NONE {
+                    for (f, &a) in s.freezing.iter_mut().zip(&log.added) {
+                        if slots[a as usize].group == g
+                            && marks[a as usize].round == NONE
+                            && f.is_none()
+                        {
+                            *f = Some(true);
+                            freezing += 1;
+                        }
+                    }
+                }
+            }
+            p += 1;
+        }
+        if p != h.next_group[k + 1] as usize {
+            return false;
+        }
+        // A round that passes the checks freezes a flow, as every round of
+        // a fresh solve must: its untouched argmin link saturates, or the
+        // pointer group, which the walk check keeps non-empty, hits its cap.
+        debug_assert!(
+            h.unfrozen[k] - h.unfrozen[k + 1] - removed_now + freezing > 0,
+            "replayed round {k} freezes nothing"
+        );
+
+        // Round `k` is the old one: write the touched links and groups into
+        // its history row, then step them to round `k + 1`.
+        h.unfrozen[k] = h.unfrozen[k] - s.removed_left + s.added_left;
+        for (t, &l) in s.links.iter_mut().zip(&log.links) {
+            h.residual[row + l as usize] = t.residual;
+            h.count[row + l as usize] = t.count;
+            t.residual = t.next;
+        }
+        for g in &s.groups {
+            let at = grow + g.position as usize;
+            h.group_count[at] = h.group_count[at] - g.removed + g.added;
+            h.group_after[at] = g.after;
+        }
+        for (f, &a) in s.freezing.iter().zip(&log.added) {
+            let Some(by_cap) = *f else {
+                continue;
+            };
+            let slot = &slots[a as usize];
+            rates[a as usize] = level.min(slot.cap);
+            marks[a as usize] = Mark {
+                stamp: *solve_no,
+                round,
+                by_cap,
+            };
+            for &(l, _) in &slot.route {
+                s.links[log.link(l)].added -= 1;
+            }
+            if slot.group != NO_GROUP {
+                s.groups[log.group(slot.group)].added -= 1;
+            }
+            s.added_left -= 1;
+        }
+        for r in &log.removed {
+            if r.round == round {
+                for &l in &log.removed_links[r.start as usize..r.end as usize] {
+                    s.links[log.link(l)].removed -= 1;
+                }
+                if r.group != NO_GROUP {
+                    s.groups[log.group(r.group)].removed -= 1;
+                }
+                s.removed_left -= 1;
+            }
+        }
+        true
+    }
+
+    /// Restores the state at the start of round `resume` (≥ 1) from the
+    /// history, patched for the touched links and groups; returns `level`,
+    /// the cap-group pointer and the unfrozen total.
+    fn restore(&mut self, resume: u32) -> (f64, usize, usize) {
+        self.resume = resume;
+        let k = resume as usize;
+        let nl = self.capacity.len();
+        let (h, log, s) = (&mut self.history, &self.log, &self.scratch);
+        self.residual
+            .copy_from_slice(&h.residual[k * nl..(k + 1) * nl]);
+        self.flows_on_link
+            .copy_from_slice(&h.count[k * nl..(k + 1) * nl]);
+        for (t, &l) in s.links.iter().zip(&log.links) {
+            let l = l as usize;
+            self.residual[l] = t.residual;
+            self.flows_on_link[l] = self.flows_on_link[l] - t.removed + t.added;
+        }
+        self.active.clear();
+        for (l, (&count, saturated)) in self
+            .flows_on_link
+            .iter()
+            .zip(h.saturated.iter_mut())
+            .enumerate()
+        {
+            if count > 0 {
+                self.active.push(l as u32);
+            }
+            if *saturated >= resume {
+                *saturated = NONE;
+            }
+        }
+        let grow = k * h.groups;
+        for (p, &g) in self.cap_order.iter().enumerate() {
+            self.groups[g as usize].unfrozen = h.group_count[grow + p];
+        }
+        for (t, &g) in s.groups.iter().zip(&log.groups) {
+            let g = &mut self.groups[g as usize];
+            g.unfrozen = g.unfrozen - t.removed + t.added;
+        }
+        let unfrozen = h.unfrozen[k] - s.removed_left + s.added_left;
+        let (level, next_group) = (h.level[k], h.next_group[k]);
+        h.truncate(k, nl);
+        (level, next_group as usize, unfrozen as usize)
+    }
+
+    /// Runs progressive filling from round `first`, given the state at its
+    /// start, recording the history as it goes.
+    fn fill(&mut self, first: u32, mut level: f64, mut next_group: usize, mut unfrozen: usize) {
+        let mut round = first;
+        loop {
+            self.record_start(level, next_group, unfrozen);
+            if unfrozen == 0 {
+                break;
+            }
             // Largest uniform increment before a link saturates or a flow
             // hits its cap.
-            let mut d = f64::INFINITY;
+            let mut link_min = f64::INFINITY;
+            let mut argmin = NONE;
             for &l in &self.active {
-                let l = l as usize;
-                d = d.min(self.residual[l] / f64::from(self.flows_on_link[l]));
+                let share = self.residual[l as usize] / f64::from(self.flows_on_link[l as usize]);
+                // `<`, as `f64::min` would: a NaN share never lowers it.
+                if share < link_min {
+                    link_min = share;
+                    argmin = l;
+                }
             }
+            let mut d = link_min;
             // The freeze walk below leaves `next_group` on the smallest cap
             // with an unfrozen flow.
             if let Some(&g) = self.cap_order.get(next_group) {
@@ -376,15 +1040,25 @@ impl Solver {
                 let l = self.active[a] as usize;
                 // `<=` as in the reference: a NaN residual saturates nothing.
                 if self.residual[l] <= self.eps {
+                    self.history.saturated[l] = round;
                     for k in 0..self.on_link[l].len() {
                         let i = self.on_link[l][k] as usize;
-                        if !self.frozen[i] {
-                            self.freeze(i, level);
+                        if !self.is_frozen(i) {
+                            self.freeze(i, level, round, false);
                             unfrozen -= 1;
                         }
                     }
                 }
             }
+            let h = &mut self.history;
+            h.d.push(d);
+            h.link_min.push(link_min);
+            h.argmin.push(argmin);
+            h.group_after.extend(
+                self.cap_order
+                    .iter()
+                    .map(|&g| self.groups[g as usize].unfrozen),
+            );
             while let Some(&g) = self.cap_order.get(next_group) {
                 let g = g as usize;
                 if self.groups[g].unfrozen > 0 {
@@ -393,8 +1067,8 @@ impl Solver {
                     }
                     for k in 0..self.groups[g].members.len() {
                         let i = self.groups[g].members[k] as usize;
-                        if !self.frozen[i] {
-                            self.freeze(i, level);
+                        if !self.is_frozen(i) {
+                            self.freeze(i, level, round, true);
                             unfrozen -= 1;
                         }
                     }
@@ -407,14 +1081,45 @@ impl Solver {
             );
             let flows_on_link = &self.flows_on_link;
             self.active.retain(|&l| flows_on_link[l as usize] > 0);
+            round += 1;
         }
+        self.history.rounds = round as usize;
     }
 
-    /// Freezes flow `i` at the current `level` (or its cap, if lower).
-    fn freeze(&mut self, i: usize, level: f64) {
+    /// Appends the state at the start of a round (or the end) to the
+    /// history.
+    fn record_start(&mut self, level: f64, next_group: usize, unfrozen: usize) {
+        let h = &mut self.history;
+        h.level.push(level);
+        h.next_group.push(next_group as u32);
+        h.unfrozen.push(unfrozen as u32);
+        h.residual.extend_from_slice(&self.residual);
+        h.count.extend_from_slice(&self.flows_on_link);
+        h.group_count.extend(
+            self.cap_order
+                .iter()
+                .map(|&g| self.groups[g as usize].unfrozen),
+        );
+    }
+
+    /// Whether flow `i` is frozen in the running solve: it froze in this
+    /// solve, or in the prefix the solve resumed past.
+    #[inline]
+    fn is_frozen(&self, i: usize) -> bool {
+        let m = self.marks[i];
+        m.stamp == self.solve_no || m.round < self.resume
+    }
+
+    /// Freezes flow `i` in `round` at the current `level` (or its cap, if
+    /// lower).
+    fn freeze(&mut self, i: usize, level: f64, round: u32, by_cap: bool) {
         let slot = &self.slots[i];
         self.rates[i] = level.min(slot.cap);
-        self.frozen[i] = true;
+        self.marks[i] = Mark {
+            stamp: self.solve_no,
+            round,
+            by_cap,
+        };
         for &(l, _) in &slot.route {
             self.flows_on_link[l as usize] -= 1;
         }
@@ -483,6 +1188,344 @@ mod tests {
                 "slot {slot} {f:?}: solver {g} vs reference {w}\nlive: {live:?}\ncapacity: {capacity:?}"
             );
         }
+    }
+
+    /// Solves as [`assert_bit_identical`] does, also checks the rates and
+    /// the round count against a fresh solver over the same flows, and
+    /// returns the rounds the solve resumed.
+    fn resumed_solve(solver: &mut Solver, capacity: &[f64], live: &[(usize, FlowSpec)]) -> u64 {
+        assert_bit_identical(solver, capacity, live);
+        let mut fresh = Solver::new(capacity.to_vec());
+        let slots: Vec<usize> = live.iter().map(|(_, f)| add(&mut fresh, f)).collect();
+        fresh.solve();
+        assert_eq!(fresh.resumed(), 0, "a first solve is fresh");
+        assert_eq!(solver.rounds(), fresh.rounds(), "rounds of the solution");
+        for ((slot, f), &fs) in live.iter().zip(&slots) {
+            assert_eq!(
+                solver.rate(*slot).to_bits(),
+                fresh.rate(fs).to_bits(),
+                "slot {slot} {f:?}: resumed {} vs fresh {}",
+                solver.rate(*slot),
+                fresh.rate(fs)
+            );
+        }
+        assert!(solver.resumed() <= solver.rounds());
+        let pairs: Vec<(usize, usize)> = live.iter().map(|(s, _)| *s).zip(slots).collect();
+        assert_history_matches(solver, &fresh, &pairs);
+        solver.resumed()
+    }
+
+    /// Asserts that `solver` keeps the history and freeze marks a fresh
+    /// solve (`fresh`) of the same flows keeps: what the next replay reads
+    /// must describe the latest solve, however it was reached. `pairs`
+    /// maps each live slot of `solver` to its slot in `fresh`. Floats
+    /// compare by `==` (a resumed prefix may carry the other zero's sign,
+    /// which no rate can see); the argmin may be any link attaining the
+    /// link term; residuals matter only on links with unfrozen flows.
+    fn assert_history_matches(solver: &Solver, fresh: &Solver, pairs: &[(usize, usize)]) {
+        let (h, f) = (&solver.history, &fresh.history);
+        assert!(h.valid && f.valid);
+        assert_eq!(h.rounds, f.rounds, "rounds");
+        assert_eq!(h.groups, f.groups, "cap groups");
+        assert_eq!(h.saturated, f.saturated, "saturation rounds");
+        let nl = solver.capacity.len();
+        for k in 0..=h.rounds {
+            let row = k * nl..(k + 1) * nl;
+            assert!(h.level[k] == f.level[k], "level at round {k}");
+            assert_eq!(h.next_group[k], f.next_group[k], "cap pointer at round {k}");
+            assert_eq!(h.unfrozen[k], f.unfrozen[k], "unfrozen at round {k}");
+            assert_eq!(
+                h.count[row.clone()],
+                f.count[row.clone()],
+                "counts at round {k}"
+            );
+            for l in row.clone().filter(|&l| f.count[l] > 0) {
+                assert!(
+                    h.residual[l] == f.residual[l]
+                        || (h.residual[l].is_nan() && f.residual[l].is_nan()),
+                    "residual of link {} at round {k}",
+                    l - row.start
+                );
+            }
+            let groups = k * h.groups..(k + 1) * h.groups;
+            assert_eq!(
+                h.group_count[groups.clone()],
+                f.group_count[groups.clone()],
+                "cap-group counts at round {k}"
+            );
+            if k == h.rounds {
+                break;
+            }
+            assert!(h.d[k] == f.d[k], "increment of round {k}");
+            assert!(h.link_min[k] == f.link_min[k], "link term of round {k}");
+            assert_eq!(
+                h.group_after[groups.clone()],
+                f.group_after[groups],
+                "cap-group counts after the link freezes of round {k}"
+            );
+            let argmin = h.argmin[k];
+            if argmin == NONE {
+                assert_eq!(h.link_min[k], f64::INFINITY, "round {k} has an argmin");
+            } else {
+                let l = row.start + argmin as usize;
+                let share = h.residual[l] / f64::from(h.count[l]);
+                assert!(
+                    share == h.link_min[k],
+                    "argmin of round {k} misses the link term"
+                );
+            }
+        }
+        for &(s, fs) in pairs {
+            let (m, fm) = (solver.marks[s], fresh.marks[fs]);
+            assert_eq!(
+                (m.round, m.by_cap),
+                (fm.round, fm.by_cap),
+                "freeze mark of slot {s}"
+            );
+        }
+    }
+
+    /// Adds `flows` to `solver`, returning `(slot, flow)` pairs.
+    fn add_all(solver: &mut Solver, flows: &[FlowSpec]) -> Vec<(usize, FlowSpec)> {
+        flows.iter().map(|f| (add(solver, f), f.clone())).collect()
+    }
+
+    #[test]
+    fn an_unchanged_flow_set_resumes_past_every_round() {
+        let capacity = [1.0, 10.0, 3.0];
+        let mut s = Solver::new(capacity.to_vec());
+        let live = add_all(
+            &mut s,
+            &[flow(&[0]), capped(&[1], 2.0), flow(&[1, 2]), flow(&[2])],
+        );
+        assert_eq!(resumed_solve(&mut s, &capacity, &live), 0);
+        let rounds = s.rounds();
+        assert_eq!(rounds, 3);
+        assert_eq!(resumed_solve(&mut s, &capacity, &live), rounds);
+        assert_eq!(resumed_solve(&mut s, &capacity, &live), rounds);
+    }
+
+    #[test]
+    fn resume_stops_at_the_first_round_whose_argmin_link_is_touched() {
+        // Link 0 sets round 0's increment, link 1 round 1's.
+        let capacity = [1.0, 10.0];
+        let mut s = Solver::new(capacity.to_vec());
+        let mut live = add_all(&mut s, &[flow(&[0]), flow(&[1])]);
+        resumed_solve(&mut s, &capacity, &live);
+        assert_eq!(s.rounds(), 2);
+        // A second flow on link 1 leaves round 0 as it was.
+        live.extend(add_all(&mut s, &[flow(&[1])]));
+        assert_eq!(resumed_solve(&mut s, &capacity, &live), 1);
+        // One on link 0 touches round 0's argmin.
+        live.extend(add_all(&mut s, &[flow(&[0])]));
+        assert_eq!(resumed_solve(&mut s, &capacity, &live), 0);
+    }
+
+    #[test]
+    fn resume_stops_where_a_touched_share_falls_below_the_link_term() {
+        // Rounds: link 0 saturates at share 1, link 2 at 2, link 1 last.
+        let capacity = [1.0, 10.0, 3.0];
+        let mut s = Solver::new(capacity.to_vec());
+        let mut live = add_all(&mut s, &[flow(&[0]), flow(&[1]), flow(&[2])]);
+        resumed_solve(&mut s, &capacity, &live);
+        assert_eq!(s.rounds(), 3);
+        // Five flows on link 1: share 10/5 = 2 ≥ 1 in round 0, then
+        // 5/5 = 1 < 2 in round 1.
+        live.extend(add_all(
+            &mut s,
+            &[flow(&[1]), flow(&[1]), flow(&[1]), flow(&[1])],
+        ));
+        assert_eq!(resumed_solve(&mut s, &capacity, &live), 1);
+    }
+
+    #[test]
+    fn resume_stops_where_a_touched_link_saturates_later_or_earlier() {
+        // Round 0: link 0 (share 0.5). Round 1: links 1 and 2 tie at 0.5
+        // and both saturate; link 1 is the argmin.
+        let capacity = [0.5, 1.0, 2.0];
+        let mut s = Solver::new(capacity.to_vec());
+        let mut live = add_all(&mut s, &[flow(&[0]), flow(&[1]), flow(&[2]), flow(&[2])]);
+        resumed_solve(&mut s, &capacity, &live);
+        assert_eq!(s.rounds(), 2);
+        // Later: without one of its flows, link 2 no longer saturates in
+        // round 1 (its share still passes).
+        let (slot, _) = live.pop().unwrap();
+        s.remove_flow(slot);
+        assert_eq!(resumed_solve(&mut s, &capacity, &live), 1);
+        assert_eq!(s.rounds(), 3);
+        // Earlier: a second flow on link 2 makes it saturate in round 1
+        // again, with a share exactly equal to the link term.
+        live.extend(add_all(&mut s, &[flow(&[2])]));
+        assert_eq!(resumed_solve(&mut s, &capacity, &live), 1);
+        assert_eq!(s.rounds(), 2);
+    }
+
+    #[test]
+    fn resume_stops_where_the_cap_walk_moves_past_a_group_left_without_unfrozen_members() {
+        // Round 0: link 2 freezes e (cap 3). Round 1: a hits cap 1 and the
+        // walk stops at cap 3 (c unfrozen). Round 2: c hits cap 3. Round 3:
+        // link 0 saturates.
+        let capacity = [10.0, 100.0, 0.2];
+        let mut s = Solver::new(capacity.to_vec());
+        let mut live = add_all(
+            &mut s,
+            &[
+                capped(&[0], 1.0),
+                flow(&[0]),
+                capped(&[1], 3.0),
+                capped(&[2], 3.0),
+            ],
+        );
+        resumed_solve(&mut s, &capacity, &live);
+        assert_eq!(s.rounds(), 4);
+        // Without c, cap 3 has no unfrozen member after round 0, so round
+        // 1's walk runs past it.
+        let (slot, _) = live.remove(2);
+        s.remove_flow(slot);
+        assert_eq!(resumed_solve(&mut s, &capacity, &live), 1);
+    }
+
+    #[test]
+    fn a_linkless_capped_flow_freezes_in_the_replay() {
+        let capacity = [1.0, 10.0];
+        let mut s = Solver::new(capacity.to_vec());
+        let mut live = add_all(&mut s, &[flow(&[0]), capped(&[1], 4.0), flow(&[1])]);
+        resumed_solve(&mut s, &capacity, &live);
+        assert_eq!(s.rounds(), 3);
+        // Cap 4 is in use: the new flow joins its group and freezes with
+        // it in round 1, so no round changes.
+        live.extend(add_all(&mut s, &[capped(&[], 4.0)]));
+        assert_eq!(resumed_solve(&mut s, &capacity, &live), 3);
+        assert_eq!(s.rate(live[3].0), 4.0);
+    }
+
+    #[test]
+    fn creating_or_emptying_a_cap_group_or_a_linkless_uncapped_flow_solves_fresh() {
+        let capacity = [1.0, 10.0];
+        let mut s = Solver::new(capacity.to_vec());
+        let mut live = add_all(&mut s, &[flow(&[0]), capped(&[1], 4.0), flow(&[1])]);
+        resumed_solve(&mut s, &capacity, &live);
+        assert_eq!(resumed_solve(&mut s, &capacity, &live), 3);
+        // A new cap value creates a group.
+        live.extend(add_all(&mut s, &[capped(&[], 5.0)]));
+        assert_eq!(resumed_solve(&mut s, &capacity, &live), 0);
+        assert_eq!(resumed_solve(&mut s, &capacity, &live), 4);
+        // Removing its only flow empties it.
+        let (slot, _) = live.pop().unwrap();
+        s.remove_flow(slot);
+        assert_eq!(resumed_solve(&mut s, &capacity, &live), 0);
+        // A linkless uncapped flow enters, then leaves.
+        live.extend(add_all(&mut s, &[flow(&[])]));
+        assert_eq!(resumed_solve(&mut s, &capacity, &live), 0);
+        assert_eq!(s.rate(live[3].0), f64::INFINITY);
+        let (slot, _) = live.pop().unwrap();
+        s.remove_flow(slot);
+        assert_eq!(resumed_solve(&mut s, &capacity, &live), 0);
+        assert_eq!(resumed_solve(&mut s, &capacity, &live), 3);
+    }
+
+    #[test]
+    fn a_panicking_solve_leaves_no_history_to_resume() {
+        // `∞ − 3 · 1e308` is NaN: with two uncapped flows added the problem
+        // is unbounded (see `infinite_capacity_overflow_matches_the_reference`).
+        let capacity = [f64::INFINITY];
+        let mut s = Solver::new(capacity.to_vec());
+        let live = add_all(&mut s, &[capped(&[0], 1e308)]);
+        resumed_solve(&mut s, &capacity, &live);
+        let bad = [
+            s.add_flow([0], f64::INFINITY),
+            s.add_flow([0], f64::INFINITY),
+        ];
+        let err = outcome(|| {
+            s.solve();
+            Vec::new()
+        });
+        assert!(
+            err.as_ref().is_err_and(|m| m.contains("unbounded")),
+            "{err:?}"
+        );
+        for slot in bad {
+            s.remove_flow(slot);
+        }
+        assert_eq!(resumed_solve(&mut s, &capacity, &live), 0);
+        assert_eq!(resumed_solve(&mut s, &capacity, &live), 1);
+    }
+
+    #[test]
+    fn a_flow_added_and_removed_between_solves_leaves_no_trace() {
+        let capacity = [1.0, 10.0, 50.0];
+        let mut s = Solver::new(capacity.to_vec());
+        let live = add_all(&mut s, &[flow(&[0]), flow(&[1])]);
+        resumed_solve(&mut s, &capacity, &live);
+        // The transient flow leaves no record, but its links stay touched:
+        // one on link 2 alone changes nothing...
+        let transient = s.add_flow([2], f64::INFINITY);
+        s.remove_flow(transient);
+        assert_eq!(resumed_solve(&mut s, &capacity, &live), 2);
+        // ...while touching link 0, round 0's argmin, stops the replay
+        // there.
+        let transient = s.add_flow([2, 0], f64::INFINITY);
+        s.remove_flow(transient);
+        assert_eq!(resumed_solve(&mut s, &capacity, &live), 0);
+    }
+
+    #[test]
+    fn a_freed_slot_reused_between_solves_resumes_bit_for_bit() {
+        // Round 0: link 0. Round 1: link 1. Round 2: cap 30 (level 30;
+        // link 3's share 35 is the link term). Round 3: link 3.
+        let capacity = [1.0, 10.0, 50.0, 45.0];
+        let mut s = Solver::new(capacity.to_vec());
+        let mut live = add_all(
+            &mut s,
+            &[
+                flow(&[0]),
+                flow(&[1]),
+                capped(&[2], 30.0),
+                capped(&[], 30.0),
+                flow(&[3]),
+            ],
+        );
+        resumed_solve(&mut s, &capacity, &live);
+        assert_eq!(s.rounds(), 4);
+        // A flow that froze by its cap in round 2 leaves, and its slot
+        // takes a new flow that freezes by the same cap in the replay.
+        let (old, _) = live.remove(2);
+        s.remove_flow(old);
+        let f = capped(&[2], 30.0);
+        let slot = add(&mut s, &f);
+        assert_eq!(slot, old, "the freed slot is reused");
+        live.push((slot, f));
+        assert_eq!(resumed_solve(&mut s, &capacity, &live), 4);
+        assert_eq!(s.rate(slot), 30.0);
+    }
+
+    #[test]
+    fn a_route_crossing_a_link_twice_resumes_bit_for_bit() {
+        // Round 0: link 2 (share 1). Round 1: link 0, counted three times.
+        let capacity = [9.0, 5.0, 1.0];
+        let mut s = Solver::new(capacity.to_vec());
+        let mut live = add_all(&mut s, &[flow(&[0, 0]), flow(&[0]), flow(&[2])]);
+        resumed_solve(&mut s, &capacity, &live);
+        assert_eq!(s.rounds(), 2);
+        live.extend(add_all(&mut s, &[flow(&[1, 0, 1])]));
+        assert_eq!(resumed_solve(&mut s, &capacity, &live), 1);
+        let (slot, _) = live.remove(0);
+        s.remove_flow(slot);
+        assert_eq!(resumed_solve(&mut s, &capacity, &live), 1);
+    }
+
+    #[test]
+    fn a_zero_capacity_link_resumes_and_stalls_its_new_flow() {
+        // Links 0 and 1 have no capacity: both saturate in round 0 at
+        // share 0 (link 0 is the argmin); link 2 in round 1.
+        let capacity = [0.0, 0.0, 1.0];
+        let mut s = Solver::new(capacity.to_vec());
+        let mut live = add_all(&mut s, &[flow(&[0]), flow(&[1]), flow(&[2])]);
+        resumed_solve(&mut s, &capacity, &live);
+        assert_eq!(s.rounds(), 2);
+        live.extend(add_all(&mut s, &[flow(&[1])]));
+        assert_eq!(resumed_solve(&mut s, &capacity, &live), 2);
+        assert_eq!(s.rate(live[3].0), 0.0);
     }
 
     #[test]
@@ -915,28 +1958,7 @@ mod tests {
         /// now and then every flow is replaced at once.
         #[test]
         fn solver_matches_reference_bit_for_bit(seed in 0u64..u64::MAX) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let nl = rng.random_range(1..=8usize);
-            let capacity = tie_prone_capacities(&mut rng, nl);
-            let mut solver = Solver::new(capacity.clone());
-            let mut live: Vec<(usize, FlowSpec)> = Vec::new();
-            for _ in 0..rng.random_range(1..=10usize) {
-                let replace_all = rng.random_range(0..5usize) == 0;
-                let p_remove = if replace_all { 1.0 } else { rng.random_range(0.0..0.6) };
-                let mut k = 0;
-                while k < live.len() {
-                    if rng.random_bool(p_remove) {
-                        solver.remove_flow(live.swap_remove(k).0);
-                    } else {
-                        k += 1;
-                    }
-                }
-                let nf = rng.random_range(0..=12usize);
-                for f in tie_prone_flows(&mut rng, &capacity, nf) {
-                    live.push((add(&mut solver, &f), f));
-                }
-                assert_bit_identical(&mut solver, &capacity, &live);
-            }
+            add_remove_script(seed);
         }
 
         /// Bit parity at simulator scale: a grillon-sized link set with up
@@ -945,32 +1967,137 @@ mod tests {
         /// flows leave, a few arrive) between solves.
         #[test]
         fn solver_matches_reference_at_scale(seed in 0u64..u64::MAX) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let nl = 47;
-            let capacity = vec![125e6; nl];
-            let mut solver = Solver::new(capacity.clone());
-            let mut live: Vec<(usize, FlowSpec)> = Vec::new();
-            let arrive = |rng: &mut StdRng, solver: &mut Solver, live: &mut Vec<_>, n| {
-                for _ in 0..n {
-                    let src = rng.random_range(0..nl);
-                    let dst = (src + rng.random_range(1..nl)) % nl;
-                    let rate_cap = if rng.random_bool(0.5) { 81.92e6 } else { f64::INFINITY };
-                    let f = FlowSpec { links: vec![src, dst], rate_cap };
-                    live.push((add(solver, &f), f));
-                }
+            event_script_at_scale(seed);
+        }
+
+        /// Bit parity of resumed solves: event-sized scripts (a few flows
+        /// leave, a few arrive, some arrive and leave before the solve)
+        /// over flows drawn from a small pool, so routes and caps recur and
+        /// most solves resume; each solve is checked against a fresh
+        /// solver (rates and rounds) and the reference.
+        #[test]
+        fn resumed_solve_matches_a_fresh_solver_and_the_reference(seed in 0u64..u64::MAX) {
+            resume_script(seed);
+        }
+    }
+
+    // The same three parity properties at 20,000 cases each, for a release
+    // run: `cargo test --release -p rats-simnet --lib -- --ignored`.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        #[test]
+        #[ignore = "deep parity run, ~16 s in release"]
+        fn solver_matches_reference_bit_for_bit_deep(seed in 0u64..u64::MAX) {
+            add_remove_script(seed);
+        }
+
+        #[test]
+        #[ignore = "deep parity run, ~16 s in release"]
+        fn solver_matches_reference_at_scale_deep(seed in 0u64..u64::MAX) {
+            event_script_at_scale(seed);
+        }
+
+        #[test]
+        #[ignore = "deep parity run, ~16 s in release"]
+        fn resumed_solve_matches_a_fresh_solver_and_the_reference_deep(seed in 0u64..u64::MAX) {
+            resume_script(seed);
+        }
+    }
+
+    fn add_remove_script(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let nl = rng.random_range(1..=8usize);
+        let capacity = tie_prone_capacities(&mut rng, nl);
+        let mut solver = Solver::new(capacity.clone());
+        let mut live: Vec<(usize, FlowSpec)> = Vec::new();
+        for _ in 0..rng.random_range(1..=10usize) {
+            let replace_all = rng.random_range(0..5usize) == 0;
+            let p_remove = if replace_all {
+                1.0
+            } else {
+                rng.random_range(0.0..0.6)
             };
-            let n = rng.random_range(1..=300usize);
+            let mut k = 0;
+            while k < live.len() {
+                if rng.random_bool(p_remove) {
+                    solver.remove_flow(live.swap_remove(k).0);
+                } else {
+                    k += 1;
+                }
+            }
+            let nf = rng.random_range(0..=12usize);
+            for f in tie_prone_flows(&mut rng, &capacity, nf) {
+                live.push((add(&mut solver, &f), f));
+            }
+            assert_bit_identical(&mut solver, &capacity, &live);
+        }
+    }
+
+    fn event_script_at_scale(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let nl = 47;
+        let capacity = vec![125e6; nl];
+        let mut solver = Solver::new(capacity.clone());
+        let mut live: Vec<(usize, FlowSpec)> = Vec::new();
+        let arrive = |rng: &mut StdRng, solver: &mut Solver, live: &mut Vec<_>, n| {
+            for _ in 0..n {
+                let src = rng.random_range(0..nl);
+                let dst = (src + rng.random_range(1..nl)) % nl;
+                let rate_cap = if rng.random_bool(0.5) {
+                    81.92e6
+                } else {
+                    f64::INFINITY
+                };
+                let f = FlowSpec {
+                    links: vec![src, dst],
+                    rate_cap,
+                };
+                live.push((add(solver, &f), f));
+            }
+        };
+        let n = rng.random_range(1..=300usize);
+        arrive(&mut rng, &mut solver, &mut live, n);
+        assert_bit_identical(&mut solver, &capacity, &live);
+        for _ in 0..4 {
+            for _ in 0..rng.random_range(0..=4usize).min(live.len()) {
+                let k = rng.random_range(0..live.len());
+                solver.remove_flow(live.swap_remove(k).0);
+            }
+            let n = rng.random_range(0..=4usize);
             arrive(&mut rng, &mut solver, &mut live, n);
             assert_bit_identical(&mut solver, &capacity, &live);
-            for _ in 0..4 {
-                for _ in 0..rng.random_range(0..=4usize).min(live.len()) {
-                    let k = rng.random_range(0..live.len());
-                    solver.remove_flow(live.swap_remove(k).0);
-                }
-                let n = rng.random_range(0..=4usize);
-                arrive(&mut rng, &mut solver, &mut live, n);
-                assert_bit_identical(&mut solver, &capacity, &live);
+        }
+    }
+
+    fn resume_script(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let nl = rng.random_range(1..=8usize);
+        let capacity = tie_prone_capacities(&mut rng, nl);
+        let pool = tie_prone_flows(&mut rng, &capacity, 16);
+        let draw = |rng: &mut StdRng| pool[rng.random_range(0..pool.len())].clone();
+        let mut solver = Solver::new(capacity.clone());
+        let mut live: Vec<(usize, FlowSpec)> = Vec::new();
+        for _ in 0..rng.random_range(0..=12usize) {
+            let f = draw(&mut rng);
+            live.push((add(&mut solver, &f), f));
+        }
+        resumed_solve(&mut solver, &capacity, &live);
+        for _ in 0..rng.random_range(1..=12usize) {
+            for _ in 0..rng.random_range(0..=3usize).min(live.len()) {
+                let k = rng.random_range(0..live.len());
+                solver.remove_flow(live.swap_remove(k).0);
             }
+            for _ in 0..rng.random_range(0..=3usize) {
+                let f = draw(&mut rng);
+                let slot = add(&mut solver, &f);
+                if rng.random_range(0..4usize) == 0 {
+                    solver.remove_flow(slot);
+                } else {
+                    live.push((slot, f));
+                }
+            }
+            resumed_solve(&mut solver, &capacity, &live);
         }
     }
 }
