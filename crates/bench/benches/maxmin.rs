@@ -13,14 +13,19 @@
 //!   unchanged flow set would resume past every round and time no
 //!   filling at all);
 //! * an event replay in the simulator's traffic shape: 176 live flows over
-//!   47 links, and between solves the three oldest flows leave and three
-//!   new ones arrive (a paper-suite job makes ~636 solves of ~176 flows).
-//!   The solver removes and adds those flows in place and resumes from
-//!   the first round they change (the replay reports the share of rounds
-//!   resumed); the reference rebuilds and solves the whole problem. Six
-//!   changed flows touch about a quarter of the links, so few of these
-//!   solves resume; the simulator changes one flow per event, and
-//!   `campaign profile` shows ~40–48% of its rounds resumed.
+//!   47 links (a paper-suite job makes ~636 solves of ~176 flows), and
+//!   between solves one flow changes, as in the simulator: by turns, the
+//!   flow that completes first leaves (the replay runs 0.1–10 MB flows as
+//!   a fluid at their solved rates) and a new one arrives in its place.
+//!   The solver removes or adds that flow in place and resumes from the
+//!   first round it changes; the replay reports the share of rounds
+//!   resumed (~34%, against the ~40–48% `campaign profile` shows on the
+//!   paper suite). The reference rebuilds and solves the whole problem.
+//!
+//! It also times the network engine's event loop, `NetSim` against the
+//! whole-rebuild `reference::NetSim`: ~176 flows in flight on grillon,
+//! each event advancing to the next network event and starting one new
+//! flow per completed one.
 //!
 //! Run modes:
 //!
@@ -28,9 +33,10 @@
 //!   `BENCH_sim.json`;
 //! * `… -- --check` — regression gate: fails (exit 1) if the in-run
 //!   speedup at 100 flows falls below [`SPEEDUP_FLOOR`], or if once warm a
-//!   from-scratch solver call (flows replaced, then `Solver::solve`) or an
-//!   event (its `remove_flow`/`add_flow` cycle and resumed solve) touches
-//!   the heap.
+//!   from-scratch solver call (flows replaced, then `Solver::solve`), a
+//!   replay event (its `remove_flow` or `add_flow` and resumed solve) or a
+//!   network event (`next_event`, `advance_to` and the `start_flow`s that
+//!   replace the completed flows) touches the heap.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -38,8 +44,10 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use rats_platform::{ClusterSpec, Platform};
 use rats_simnet::maxmin::reference::{FlowSpec, Problem};
 use rats_simnet::maxmin::Solver;
+use rats_simnet::{reference, NetSim};
 
 /// Heap-op counting allocator: every `alloc`/`realloc` bumps a counter, so
 /// the bench can report heap operations per warm solve and per event.
@@ -99,11 +107,8 @@ fn problem(n: usize) -> Problem {
     Problem { capacity, flows }
 }
 
-/// Live flows of the event replay.
+/// Live flows of the event replay (one fewer after a departure).
 const REPLAY_FLOWS: usize = 176;
-
-/// Flows that leave, and flows that arrive, between two solves.
-const REPLAY_CHANGES: usize = 3;
 
 /// The event replay's arrivals, cycled: grillon-like 2-link routes, half
 /// of the flows capped at the TCP-window rate.
@@ -161,12 +166,51 @@ impl FreshSolve {
     }
 }
 
-/// The event replay on the persistent solver: a ring of live slots whose
-/// oldest [`REPLAY_CHANGES`] are replaced by new arrivals before each solve.
+/// The replay's flow sizes, by flow number: 0.1–10 MB.
+fn size(n: usize) -> f64 {
+    1e5 * (1 + n * 7919 % 100) as f64
+}
+
+/// Bytes left per replay position: the replay runs the flows as a fluid
+/// at their solved rates, so the flow that leaves is the one that
+/// completes first, as in the simulator.
+struct Fluid {
+    remaining: Vec<f64>,
+}
+
+impl Fluid {
+    fn new() -> Self {
+        Self {
+            remaining: (0..REPLAY_FLOWS).map(size).collect(),
+        }
+    }
+
+    /// Progresses every flow to the first completion at `rate` per
+    /// position, and returns the position of the flow that completes then.
+    fn depart(&mut self, rate: impl Fn(usize) -> f64) -> usize {
+        let mut first = (0, f64::INFINITY);
+        for (k, &r) in self.remaining.iter().enumerate() {
+            let t = r / rate(k);
+            if t < first.1 {
+                first = (k, t);
+            }
+        }
+        for (k, r) in self.remaining.iter_mut().enumerate() {
+            *r -= rate(k) * first.1;
+        }
+        first.0
+    }
+}
+
+/// The event replay on the persistent solver: [`REPLAY_FLOWS`] positions
+/// in which, by turns, the flow that completes first leaves (its position
+/// becomes the hole) and a new arrival fills the hole, with a solve after
+/// each change.
 struct SolverReplay {
     solver: Solver,
     slots: Vec<usize>,
-    oldest: usize,
+    fluid: Fluid,
+    hole: Option<usize>,
     next: usize,
 }
 
@@ -177,55 +221,168 @@ impl SolverReplay {
             .iter()
             .map(|f| solver.add_flow(f.links.iter().copied(), f.rate_cap))
             .collect();
+        solver.solve();
         Self {
             solver,
             slots,
-            oldest: 0,
+            fluid: Fluid::new(),
+            hole: None,
             next: REPLAY_FLOWS,
         }
     }
 
-    /// One event: three flows leave, three arrive, then a solve.
+    /// One event: the first flow to complete leaves or an arrival fills
+    /// its position, then a solve; returns the rate at position 0.
     fn event(&mut self, pool: &[FlowSpec]) -> f64 {
-        for _ in 0..REPLAY_CHANGES {
-            let f = &pool[self.next % pool.len()];
-            self.solver.remove_flow(self.slots[self.oldest]);
-            self.slots[self.oldest] = self.solver.add_flow(f.links.iter().copied(), f.rate_cap);
-            self.oldest = (self.oldest + 1) % REPLAY_FLOWS;
-            self.next += 1;
+        match self.hole.take() {
+            Some(k) => {
+                let f = &pool[self.next % pool.len()];
+                self.slots[k] = self.solver.add_flow(f.links.iter().copied(), f.rate_cap);
+                self.fluid.remaining[k] = size(self.next);
+                self.next += 1;
+            }
+            None => {
+                let (solver, slots) = (&self.solver, &self.slots);
+                let k = self.fluid.depart(|k| solver.rate(slots[k]));
+                self.solver.remove_flow(self.slots[k]);
+                self.hole = Some(k);
+            }
         }
         self.solver.solve();
         self.solver.rate(self.slots[0])
     }
+
+    /// The live slots in position order, skipping the hole.
+    fn live(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..REPLAY_FLOWS)
+            .filter(|&k| Some(k) != self.hole)
+            .map(|k| self.slots[k])
+    }
 }
 
-/// The same replay on the reference: the live flows in a ring, rebuilt
-/// into one problem that is solved from scratch.
+/// The same replay on the reference: the live flows in position order,
+/// the hole left out, solved from scratch.
 struct ReferenceReplay {
     problem: Problem,
-    oldest: usize,
+    /// The rates of the last solve, in `problem.flows` order.
+    rates: Vec<f64>,
+    fluid: Fluid,
+    hole: Option<usize>,
     next: usize,
 }
 
 impl ReferenceReplay {
     fn new(pool: &[FlowSpec]) -> Self {
+        let problem = Problem {
+            capacity: vec![125e6; 47],
+            flows: pool[..REPLAY_FLOWS].to_vec(),
+        };
         Self {
-            problem: Problem {
-                capacity: vec![125e6; 47],
-                flows: pool[..REPLAY_FLOWS].to_vec(),
-            },
-            oldest: 0,
+            rates: problem.solve(),
+            problem,
+            fluid: Fluid::new(),
+            hole: None,
             next: REPLAY_FLOWS,
         }
     }
 
-    fn event(&mut self, pool: &[FlowSpec]) -> Vec<f64> {
-        for _ in 0..REPLAY_CHANGES {
-            self.problem.flows[self.oldest] = pool[self.next % pool.len()].clone();
-            self.oldest = (self.oldest + 1) % REPLAY_FLOWS;
-            self.next += 1;
+    fn event(&mut self, pool: &[FlowSpec]) -> &[f64] {
+        match self.hole.take() {
+            Some(k) => {
+                let f = pool[self.next % pool.len()].clone();
+                self.problem.flows.insert(k, f);
+                self.fluid.remaining[k] = size(self.next);
+                self.next += 1;
+            }
+            None => {
+                // No hole: positions index the rates.
+                let rates = &self.rates;
+                let k = self.fluid.depart(|k| rates[k]);
+                self.problem.flows.remove(k);
+                self.hole = Some(k);
+            }
         }
-        self.problem.solve()
+        self.rates = self.problem.solve();
+        &self.rates
+    }
+}
+
+/// Flows the network event loop keeps started.
+const NET_FLOWS: u64 = 176;
+
+/// The network event loop on one engine: every event advances to the next
+/// network event and starts one new flow per completed one, so about
+/// [`NET_FLOWS`] flows stay in flight (in their latency phase or
+/// transferring).
+struct NetLoop<N> {
+    net: N,
+    done: Vec<u64>,
+    next: u64,
+}
+
+/// The calls the loop makes, on either engine.
+trait Engine {
+    fn start_flow(&mut self, src: u32, dst: u32, bytes: f64, tag: u64) -> bool;
+    fn next_event(&mut self) -> Option<f64>;
+    fn advance_to(&mut self, t: f64, completed: &mut Vec<u64>);
+}
+
+impl Engine for NetSim<'_> {
+    fn start_flow(&mut self, src: u32, dst: u32, bytes: f64, tag: u64) -> bool {
+        NetSim::start_flow(self, src, dst, bytes, tag)
+    }
+    fn next_event(&mut self) -> Option<f64> {
+        NetSim::next_event(self)
+    }
+    fn advance_to(&mut self, t: f64, completed: &mut Vec<u64>) {
+        NetSim::advance_to(self, t, completed);
+    }
+}
+
+impl Engine for reference::NetSim<'_> {
+    fn start_flow(&mut self, src: u32, dst: u32, bytes: f64, tag: u64) -> bool {
+        reference::NetSim::start_flow(self, src, dst, bytes, tag)
+    }
+    fn next_event(&mut self) -> Option<f64> {
+        reference::NetSim::next_event(self)
+    }
+    fn advance_to(&mut self, t: f64, completed: &mut Vec<u64>) {
+        reference::NetSim::advance_to(self, t, completed);
+    }
+}
+
+impl<N: Engine> NetLoop<N> {
+    fn new(net: N) -> Self {
+        let mut l = Self {
+            net,
+            done: Vec::new(),
+            next: 0,
+        };
+        for _ in 0..NET_FLOWS {
+            l.start();
+        }
+        l
+    }
+
+    /// Starts flow number `next`: a grillon-like pair of distinct nodes,
+    /// 0.1–10 MB.
+    fn start(&mut self) {
+        let i = self.next;
+        let src = (i * 13 % 47) as u32;
+        let dst = ((u64::from(src) + 1 + i * 29 % 46) % 47) as u32;
+        let bytes = 1e5 * (1 + i * 7919 % 100) as f64;
+        assert!(self.net.start_flow(src, dst, bytes, i));
+        self.next += 1;
+    }
+
+    /// One event; returns its time.
+    fn event(&mut self) -> f64 {
+        let t = self.net.next_event().expect("flows are in flight");
+        self.net.advance_to(t, &mut self.done);
+        for _ in 0..self.done.len() {
+            self.start();
+        }
+        t
     }
 }
 
@@ -365,7 +522,7 @@ struct Replay {
 impl Replay {
     fn to_json(&self) -> String {
         format!(
-            "{{\"live_flows\": {REPLAY_FLOWS}, \"links\": 47, \"changes_per_event\": {REPLAY_CHANGES}, \
+            "{{\"live_flows\": {REPLAY_FLOWS}, \"links\": 47, \"changes_per_event\": 1, \
              \"rounds_per_solve\": {:.1}, \"resumed_share\": {:.3}, \"reference_s\": {:.9}, \
              \"solver_s\": {:.9}, \"speedup\": {:.2}, \"heap_ops_per_event\": {}}}",
             self.rounds_per_solve,
@@ -378,9 +535,31 @@ impl Replay {
     }
 }
 
-/// Warm events before the heap count: enough for every ring position, cap
-/// group and link list to reach its working size.
+/// Events checked against the reference before the heap count.
 const WARM_EVENTS: usize = 2000;
+
+/// Events per warm-up window (see [`warm`]).
+const WARM_WINDOW: usize = 1000;
+
+/// Windows [`warm`] runs at most.
+const MAX_WARM_WINDOWS: usize = 50;
+
+/// Runs `event` until a window of [`WARM_WINDOW`] events makes no heap
+/// operation, or [`MAX_WARM_WINDOWS`] windows ran. Neither event stream is
+/// periodic, so link lists, cap groups and history rows reach their peak
+/// sizes over a while; an engine that touches the heap on every event
+/// never passes a window, and fails the count that follows.
+fn warm(mut event: impl FnMut()) {
+    for _ in 0..MAX_WARM_WINDOWS {
+        let before = HEAP_OPS.load(Ordering::Relaxed);
+        for _ in 0..WARM_WINDOW {
+            event();
+        }
+        if HEAP_OPS.load(Ordering::Relaxed) == before {
+            return;
+        }
+    }
+}
 
 fn measure_replay() -> Replay {
     let pool = arrivals();
@@ -395,13 +574,15 @@ fn measure_replay() -> Replay {
         let want = reference.event(&pool);
         assert!(
             solver
-                .slots
-                .iter()
-                .zip(&want)
-                .all(|(&s, w)| solver.solver.rate(s).to_bits() == w.to_bits()),
+                .live()
+                .zip(want)
+                .all(|(s, w)| solver.solver.rate(s).to_bits() == w.to_bits()),
             "solver and reference disagree in the event replay"
         );
     }
+    warm(|| {
+        black_box(solver.event(&pool));
+    });
     let events = 100;
     let before = HEAP_OPS.load(Ordering::Relaxed);
     for _ in 0..events {
@@ -409,7 +590,7 @@ fn measure_replay() -> Replay {
     }
     let heap_ops_per_event = (HEAP_OPS.load(Ordering::Relaxed) - before).div_ceil(events);
     let (reference_s, solver_s, speedup) = time_pair(
-        || timed(|| reference.event(&pool)),
+        || timed(|| reference.event(&pool).len()),
         || timed(|| solver.event(&pool)),
     );
     let r = Replay {
@@ -421,7 +602,7 @@ fn measure_replay() -> Replay {
         heap_ops_per_event,
     };
     println!(
-        "bench maxmin/replay {REPLAY_FLOWS} flows, {REPLAY_CHANGES} out + {REPLAY_CHANGES} in per solve, \
+        "bench maxmin/replay {REPLAY_FLOWS} flows, 1 out or 1 in per solve, \
          {:.1} rounds ({:.1}% resumed)   ref {:>10.2?}   solver {:>10.2?}   speedup {:>6.2}x   \
          {} heap ops/event",
         r.rounds_per_solve,
@@ -432,6 +613,75 @@ fn measure_replay() -> Replay {
         r.heap_ops_per_event,
     );
     r
+}
+
+struct NetMeasurement {
+    /// Transferring flows per event.
+    transferring: f64,
+    reference_s: f64,
+    netsim_s: f64,
+    /// Median per-pair reference/`NetSim` time ratio.
+    speedup: f64,
+    heap_ops_per_event: u64,
+}
+
+impl NetMeasurement {
+    fn to_json(&self) -> String {
+        format!(
+            "{{\"platform\": \"grillon\", \"flows_in_flight\": {NET_FLOWS}, \
+             \"transferring_per_event\": {:.1}, \"reference_s\": {:.9}, \"netsim_s\": {:.9}, \
+             \"speedup\": {:.2}, \"heap_ops_per_event\": {}}}",
+            self.transferring,
+            self.reference_s,
+            self.netsim_s,
+            self.speedup,
+            self.heap_ops_per_event
+        )
+    }
+}
+
+fn measure_net() -> NetMeasurement {
+    let platform = Platform::from_spec(&ClusterSpec::grillon());
+    let mut net = NetLoop::new(NetSim::new(&platform));
+    let mut reference = NetLoop::new(reference::NetSim::new(&platform));
+    // Warm up in lock step, checking every event time and completion list
+    // against the reference on the way.
+    for _ in 0..WARM_EVENTS {
+        let (t, want) = (net.event(), reference.event());
+        assert!(
+            t.to_bits() == want.to_bits() && net.done == reference.done,
+            "NetSim and the reference disagree in the network event loop"
+        );
+    }
+    warm(|| {
+        black_box(net.event());
+    });
+    let (steps, events) = (net.net.stats().steps, 100);
+    let before = HEAP_OPS.load(Ordering::Relaxed);
+    for _ in 0..events {
+        black_box(net.event());
+    }
+    let heap_ops_per_event = (HEAP_OPS.load(Ordering::Relaxed) - before).div_ceil(events);
+    let transferring = (net.net.stats().steps - steps) as f64 / events as f64;
+    let (reference_s, netsim_s, speedup) =
+        time_pair(|| timed(|| reference.event()), || timed(|| net.event()));
+    let m = NetMeasurement {
+        transferring,
+        reference_s,
+        netsim_s,
+        speedup,
+        heap_ops_per_event,
+    };
+    println!(
+        "bench maxmin/netsim grillon, {NET_FLOWS} flows in flight, {:.1} transferring per event   \
+         ref {:>10.2?}   netsim {:>10.2?}   speedup {:>6.2}x   {} heap ops/event",
+        m.transferring,
+        std::time::Duration::from_secs_f64(m.reference_s),
+        std::time::Duration::from_secs_f64(m.netsim_s),
+        m.speedup,
+        m.heap_ops_per_event,
+    );
+    m
 }
 
 fn main() {
@@ -455,7 +705,17 @@ fn main() {
             r.heap_ops_per_event,
             if event_alloc_ok { "ok" } else { "FAIL" },
         );
-        let failures = i32::from(!speed_ok) + i32::from(!alloc_ok) + i32::from(!event_alloc_ok);
+        let n = measure_net();
+        let net_alloc_ok = n.heap_ops_per_event == 0;
+        println!(
+            "check maxmin/netsim {} heap ops/event (ceiling 0) {}",
+            n.heap_ops_per_event,
+            if net_alloc_ok { "ok" } else { "FAIL" },
+        );
+        let failures = i32::from(!speed_ok)
+            + i32::from(!alloc_ok)
+            + i32::from(!event_alloc_ok)
+            + i32::from(!net_alloc_ok);
         if failures > 0 {
             eprintln!("bench --check: {failures} gate(s) failed");
             std::process::exit(1);
@@ -466,6 +726,7 @@ fn main() {
 
     let results: Vec<Measurement> = [10, GATE_FLOWS, 1000].into_iter().map(measure).collect();
     let replay = measure_replay();
+    let net = measure_net();
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"bench\": \"maxmin\",");
     let _ = writeln!(
@@ -474,13 +735,14 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"gate\": {{\"flows\": {GATE_FLOWS}, \"speedup_floor\": {SPEEDUP_FLOOR}, \"heap_ops_per_warm_solve\": 0, \"heap_ops_per_event\": 0}},"
+        "  \"gate\": {{\"flows\": {GATE_FLOWS}, \"speedup_floor\": {SPEEDUP_FLOOR}, \"heap_ops_per_warm_solve\": 0, \"heap_ops_per_event\": 0, \"netsim_heap_ops_per_event\": 0}},"
     );
     let _ = writeln!(
         json,
         "  \"cases_solve\": \"from scratch: the flow set is replaced, untimed, before each timed solve\","
     );
     let _ = writeln!(json, "  \"event_replay\": {},", replay.to_json());
+    let _ = writeln!(json, "  \"netsim_events\": {},", net.to_json());
     let _ = writeln!(json, "  \"cases\": [");
     for (i, m) in results.iter().enumerate() {
         let sep = if i + 1 == results.len() { "" } else { "," };

@@ -7,10 +7,11 @@
 //!   allocations per task);
 //! * `maxmin` — the persistent max-min solver against its retained
 //!   reference on from-scratch solves at 10, 100 and 1000 flows and on an
-//!   event replay that reports the share of rounds resumed, with a
-//!   committed `BENCH_sim.json` baseline and a `-- --check` regression
-//!   gate (speedup floor, zero heap operations per warm solve and per
-//!   event);
+//!   event replay (one flow changes per solve) that reports the share of
+//!   rounds resumed, and `NetSim`'s event loop against the reference
+//!   network engine, with a committed `BENCH_sim.json` baseline and a
+//!   `-- --check` regression gate (speedup floor, zero heap operations per
+//!   warm solve, per replay event and per network event);
 //! * `allocation` — the incremental step-one allocation against its
 //!   retained whole-pass reference on the large-DAG sweep's irregular
 //!   n=2000 and n=5000 DAGs, with a committed `BENCH_alloc.json` baseline

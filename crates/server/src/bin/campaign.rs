@@ -52,7 +52,8 @@
 //!     after the report, a per-phase profile: scheduling/shard histograms
 //!     (count, total, mean, occupied buckets) and every engine counter
 //!     (estimator calls and prunes, memo and redistribution cache hit
-//!     rates, the share of max-min rounds resumed, argmin-tree updates).
+//!     rates, the share of max-min rounds resumed, the network's flows
+//!     per event, argmin-tree updates).
 //!
 //! campaign status <ROOT> [--stale-ms MS] [--json]
 //!     read-only scan of a dispatched campaign's queue directory: per-job
@@ -640,9 +641,19 @@ fn render_profile(wall_seconds: f64) -> String {
     // Resumed rounds are counted in the rounds total too.
     let rounds = rats_sim::telemetry::ROUNDS.get();
     let resumed = rats_sim::telemetry::ROUNDS_RESUMED.get().min(rounds);
+    let events = rats_sim::telemetry::EVENTS.get();
+    let flows_per_event = if events == 0 {
+        "n/a".to_string()
+    } else {
+        format!(
+            "{:.1}",
+            rats_sim::telemetry::FLOW_STEPS.get() as f64 / events as f64
+        )
+    };
     writeln!(
         out,
-        "\nhit rates: data-ready memo {}, redistribution cache {}, max-min rounds resumed {}",
+        "\nhit rates: data-ready memo {}, redistribution cache {}, max-min rounds resumed {}, \
+         flows per event {flows_per_event}",
         rate(
             rats_sched::telemetry::MEMO_HITS.get(),
             rats_sched::telemetry::MEMO_MISSES.get()

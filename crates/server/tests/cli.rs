@@ -142,7 +142,9 @@ fn profile_and_metrics_out_through_the_binary() {
         "rats_mapping_argmin_updates_total",
         "rats_sim_simulate_seconds",
         "rats_sim_maxmin_solves_total",
+        "rats_sim_flow_steps_total",
         "hit rates:",
+        "flows per event",
     ] {
         assert!(stdout.contains(needle), "missing `{needle}`:\n{stdout}");
     }

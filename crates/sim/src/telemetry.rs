@@ -1,6 +1,6 @@
 //! Simulator metrics: wall time per [`simulate`](crate::simulate) call and
 //! work counters (events, max-min solves, filling rounds, rounds resumed
-//! from the previous solve, flows solved).
+//! from the previous solve, flows solved, transfer steps).
 //!
 //! Everything is observational: the simulator never reads a metric back,
 //! and the golden digest holds with telemetry enabled. The event loop does
@@ -47,6 +47,12 @@ pub static FLOWS: Counter = Counter::new(
     "Flows rated by max-min solves (a flow counts once per solve it is in).",
 );
 
+/// Transfer steps.
+pub static FLOW_STEPS: Counter = Counter::new(
+    "rats_sim_flow_steps_total",
+    "Transferring flows the network's advances walked (each progressed and tested for completion); divided by rats_sim_events_total, the flows per event.",
+);
+
 /// Every metric this crate exports, for registry registration.
 pub static METRICS: &[Metric] = &[
     Metric::Histogram(&SIMULATE_SECONDS),
@@ -55,6 +61,7 @@ pub static METRICS: &[Metric] = &[
     Metric::Counter(&ROUNDS),
     Metric::Counter(&ROUNDS_RESUMED),
     Metric::Counter(&FLOWS),
+    Metric::Counter(&FLOW_STEPS),
 ];
 
 /// Publishes one `simulate` call's tally into the global counters.
@@ -64,6 +71,7 @@ pub(crate) fn flush(events: u64, net: NetStats) {
     ROUNDS.add(net.rounds);
     ROUNDS_RESUMED.add(net.resumed);
     FLOWS.add(net.flows);
+    FLOW_STEPS.add(net.steps);
 }
 
 #[cfg(test)]
@@ -84,7 +92,14 @@ mod tests {
         let sched = Scheduler::new(&p).schedule(&dag);
         // Other tests may simulate concurrently: counters only grow, so
         // each must have grown past its value before this call.
-        let counters = [&EVENTS, &SOLVES, &ROUNDS, &ROUNDS_RESUMED, &FLOWS];
+        let counters = [
+            &EVENTS,
+            &SOLVES,
+            &ROUNDS,
+            &ROUNDS_RESUMED,
+            &FLOWS,
+            &FLOW_STEPS,
+        ];
         let before: Vec<u64> = counters.iter().map(|c| c.get()).collect();
         let runs = SIMULATE_SECONDS.count();
         crate::simulate(&dag, &sched, &p);

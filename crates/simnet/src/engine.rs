@@ -7,22 +7,58 @@ use rats_platform::{LinkId, Platform, Route};
 
 use crate::maxmin::Solver;
 
-#[derive(Debug, Clone, Copy)]
-enum Phase {
-    /// Connection establishment: no data moves until `until`.
-    Latency { until: f64 },
-    /// Fluid transfer at the max-min fair rate of its solver slot.
-    Transfer { slot: u32 },
-}
-
+/// A flow in its latency phase: no data moves until `until`.
 #[derive(Debug, Clone)]
-struct Flow {
+struct Waiting {
+    until: f64,
     route: Route,
     rate_cap: f64,
-    remaining: f64,
     size: f64,
-    phase: Phase,
     tag: u64,
+    /// Start sequence number: completions are reported in this order.
+    seq: u64,
+}
+
+/// The transferring flows, one column per field, in no particular order:
+/// a flow's row moves when another row is swap-removed.
+#[derive(Debug, Clone, Default)]
+struct Transfers {
+    /// Bytes left to send.
+    remaining: Vec<f64>,
+    /// `size * 1e-9`: the flow is done once `remaining` is at most this.
+    done_below: Vec<f64>,
+    /// The rate of `slot` from the solver's latest solve (0 until the
+    /// first solve after the flow entered).
+    rate: Vec<f64>,
+    /// The flow's solver slot.
+    slot: Vec<u32>,
+    tag: Vec<u64>,
+    seq: Vec<u64>,
+}
+
+impl Transfers {
+    fn len(&self) -> usize {
+        self.remaining.len()
+    }
+
+    fn push(&mut self, size: f64, slot: usize, tag: u64, seq: u64) {
+        self.remaining.push(size);
+        self.done_below.push(size * 1e-9);
+        self.rate.push(0.0);
+        self.slot
+            .push(u32::try_from(slot).expect("more than u32::MAX flows"));
+        self.tag.push(tag);
+        self.seq.push(seq);
+    }
+
+    fn swap_remove(&mut self, i: usize) {
+        self.remaining.swap_remove(i);
+        self.done_below.swap_remove(i);
+        self.rate.swap_remove(i);
+        self.slot.swap_remove(i);
+        self.tag.swap_remove(i);
+        self.seq.swap_remove(i);
+    }
 }
 
 /// An event-driven fluid network simulator over a [`Platform`].
@@ -39,6 +75,31 @@ struct Flow {
 /// module (tests and the `reference` feature) keeps the engine that
 /// rebuilt the whole problem for every solve, as the parity oracle.
 ///
+/// # Layout
+///
+/// Flows in their latency phase wait in a short list with their route.
+/// Transferring flows live in flat columns — bytes remaining, the done
+/// threshold `size · 1e-9`, the rate, the solver slot, the tag and the
+/// start sequence number — in no particular order. Each solve copies the
+/// solver's rates into the rate column once; [`next_event`](Self::next_event)
+/// scans the remaining/rate columns in four independent `min` lanes, and
+/// [`advance_to`](Self::advance_to) makes one pass that progresses every
+/// transfer and notes the done ones, which then leave by swap-removal.
+/// Completions are sorted by start sequence number, so `completed` lists
+/// them in start order whatever the rows' order.
+///
+/// # Why no bit moves
+///
+/// The layout changes no arithmetic: each transfer's `remaining -= rate ·
+/// dt` reads the same rate bits, and its done test is the same expression.
+/// The next event is `min(waiting until, time + min_i(remaining_i /
+/// rate_i))`; `min` is exact, so the lane grouping cannot move a bit, and
+/// rounding is monotone, so `min_i(time + x_i) = time + min_i(x_i)`. And
+/// the solver's rates depend only on the multiset of `(links, cap)` of its
+/// flows (see [`Solver`], "Why order cannot move a bit"), so neither the
+/// slot a flow gets nor the order flows enter and leave in within one
+/// advance can reach them.
+///
 /// The embedding discrete-event simulation drives it with:
 ///
 /// ```text
@@ -51,8 +112,10 @@ struct Flow {
 #[derive(Debug, Clone)]
 pub struct NetSim<'p> {
     platform: &'p Platform,
-    /// Flows in latency or transfer phase, in start order.
-    flows: Vec<Flow>,
+    /// Flows in their latency phase, in start order.
+    waiting: Vec<Waiting>,
+    /// Flows in their transfer phase.
+    transfers: Transfers,
     /// The max-min solver over the transferring flows: link capacities are
     /// set once, flows enter and leave as their phases change.
     solver: Solver,
@@ -61,10 +124,17 @@ pub struct NetSim<'p> {
     /// [`next_event`](Self::next_event)'s answer, until a flow starts or
     /// time advances.
     next: Option<Option<f64>>,
+    /// Start sequence number of the next flow.
+    seq: u64,
+    /// Rows of the transfers that complete in the running advance.
+    done: Vec<u32>,
+    /// `(seq, tag)` of those transfers, sorted before they are reported.
+    finished: Vec<(u64, u64)>,
     stats: NetStats,
 }
 
-/// Work counters of one [`NetSim`]: what its max-min solves cost.
+/// Work counters of one [`NetSim`]: what its max-min solves and its
+/// transfer passes cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Max-min solves (one per change of the transferring set).
@@ -77,6 +147,10 @@ pub struct NetStats {
     pub resumed: u64,
     /// Flows over all solves (a flow counts once per solve it is in).
     pub flows: u64,
+    /// Transferring flows walked by [`advance_to`](NetSim::advance_to),
+    /// summed over its calls: each is progressed (when time moves) and
+    /// tested for completion.
+    pub steps: u64,
 }
 
 impl<'p> NetSim<'p> {
@@ -87,11 +161,15 @@ impl<'p> NetSim<'p> {
             .collect();
         Self {
             platform,
-            flows: Vec::new(),
+            waiting: Vec::new(),
+            transfers: Transfers::default(),
             solver: Solver::new(capacity),
             time: 0.0,
             dirty: false,
             next: None,
+            seq: 0,
+            done: Vec::new(),
+            finished: Vec::new(),
             stats: NetStats::default(),
         }
     }
@@ -102,7 +180,8 @@ impl<'p> NetSim<'p> {
         self.time
     }
 
-    /// What the max-min solves of this network have cost so far.
+    /// What the max-min solves and transfer passes of this network have
+    /// cost so far.
     #[inline]
     pub fn stats(&self) -> NetStats {
         self.stats
@@ -125,24 +204,31 @@ impl<'p> NetSim<'p> {
         }
         let route = self.platform.route(src, dst);
         let rate_cap = self.platform.flow_rate_cap(src, dst);
-        let phase = if route.latency_s > 0.0 {
-            Phase::Latency {
-                until: self.time + route.latency_s,
-            }
-        } else {
-            self.dirty = true;
-            transfer(&mut self.solver, &route, rate_cap)
-        };
+        let seq = self.seq;
+        self.seq += 1;
         self.next = None;
-        self.flows.push(Flow {
-            route,
-            rate_cap,
-            remaining: bytes,
-            size: bytes,
-            phase,
-            tag,
-        });
+        if route.latency_s > 0.0 {
+            self.waiting.push(Waiting {
+                until: self.time + route.latency_s,
+                route,
+                rate_cap,
+                size: bytes,
+                tag,
+                seq,
+            });
+        } else {
+            self.enter_transfer(&route, rate_cap, bytes, tag, seq);
+        }
         true
+    }
+
+    /// Enters a flow into the solver and the transfer columns: its transfer
+    /// phase, at rate 0 until the next solve.
+    fn enter_transfer(&mut self, route: &Route, rate_cap: f64, size: f64, tag: u64, seq: u64) {
+        let links = route.links().iter().map(|l| l.index());
+        let slot = self.solver.add_flow(links, rate_cap);
+        self.transfers.push(size, slot, tag, seq);
+        self.dirty = true;
     }
 
     /// The next time anything happens inside the network (a latency phase
@@ -152,21 +238,36 @@ impl<'p> NetSim<'p> {
             return next;
         }
         self.refresh_rates();
-        let mut next = f64::INFINITY;
-        for f in &self.flows {
-            let t = match f.phase {
-                Phase::Latency { until } => until,
-                Phase::Transfer { slot } => {
-                    let rate = self.solver.rate(slot as usize);
-                    if rate > 0.0 {
-                        self.time + f.remaining / rate
-                    } else {
-                        f64::INFINITY
-                    }
-                }
-            };
-            next = next.min(t);
+        let mut next = self
+            .waiting
+            .iter()
+            .fold(f64::INFINITY, |m, w| m.min(w.until));
+        // Four independent lanes, so the divisions pipeline; `min` is
+        // exact, so the grouping cannot move a bit.
+        let until_done = |remaining: f64, rate: f64| {
+            if rate > 0.0 {
+                remaining / rate
+            } else {
+                f64::INFINITY
+            }
+        };
+        let Transfers {
+            remaining, rate, ..
+        } = &self.transfers;
+        let mut lanes = [f64::INFINITY; 4];
+        let (rem4, rem_tail) = remaining.as_chunks::<4>();
+        let (rate4, rate_tail) = rate.as_chunks::<4>();
+        for (r, q) in rem4.iter().zip(rate4) {
+            for k in 0..4 {
+                lanes[k] = lanes[k].min(until_done(r[k], q[k]));
+            }
         }
+        for (&r, &q) in rem_tail.iter().zip(rate_tail) {
+            lanes[0] = lanes[0].min(until_done(r, q));
+        }
+        let soonest = lanes[0].min(lanes[1]).min(lanes[2].min(lanes[3]));
+        // Rounding is monotone: `time + min(x_i)` is `min(time + x_i)`.
+        next = next.min(self.time + soonest);
         let next = next.is_finite().then_some(next);
         self.next = Some(next);
         next
@@ -193,53 +294,83 @@ impl<'p> NetSim<'p> {
         let dt = (t - self.time).max(0.0);
         self.time = t;
         self.next = None;
-        // Transfers progress over `dt`, then phase transitions due at `t`.
+        // Transfers progress over `dt`; those done at `t` leave.
+        self.progress(dt);
         completed.clear();
+        if !self.done.is_empty() {
+            self.dirty = true;
+            // Descending rows: a swap-removal moves only a row not done.
+            for &i in self.done.iter().rev() {
+                let i = i as usize;
+                let x = &mut self.transfers;
+                self.solver.remove_flow(x.slot[i] as usize);
+                self.finished.push((x.seq[i], x.tag[i]));
+                x.swap_remove(i);
+            }
+            self.finished.sort_unstable_by_key(|&(seq, _)| seq);
+            completed.extend(self.finished.drain(..).map(|(_, tag)| tag));
+        }
+        // Then latency phases due at `t` end.
         let eps_t = 1e-12 + t.abs() * 1e-12;
-        let (dirty, solver) = (&mut self.dirty, &mut self.solver);
-        self.flows.retain_mut(|f| match f.phase {
-            Phase::Latency { until } => {
-                if until <= t + eps_t {
-                    f.phase = transfer(solver, &f.route, f.rate_cap);
-                    *dirty = true;
-                }
-                true
+        let mut waiting = std::mem::take(&mut self.waiting);
+        waiting.retain(|f| {
+            let due = f.until <= t + eps_t;
+            if due {
+                self.enter_transfer(&f.route, f.rate_cap, f.size, f.tag, f.seq);
             }
-            Phase::Transfer { slot } => {
-                if dt > 0.0 {
-                    f.remaining -= solver.rate(slot as usize) * dt;
-                }
-                let done = f.remaining <= f.size * 1e-9;
-                if done {
-                    solver.remove_flow(slot as usize);
-                    *dirty = true;
-                    completed.push(f.tag);
-                }
-                !done
-            }
+            !due
         });
+        self.waiting = waiting;
     }
 
-    /// Recomputes max-min fair rates if the transferring set changed.
+    /// One pass over the transfer columns: `remaining -= rate · dt` (when
+    /// time moved), noting in `done` the rows that are done.
+    fn progress(&mut self, dt: f64) {
+        self.stats.steps += self.transfers.len() as u64;
+        let Transfers {
+            remaining,
+            done_below,
+            rate,
+            ..
+        } = &mut self.transfers;
+        self.done.clear();
+        let done = &mut self.done;
+        if dt > 0.0 {
+            for (i, ((r, &below), &rate)) in remaining
+                .iter_mut()
+                .zip(done_below.iter())
+                .zip(rate.iter())
+                .enumerate()
+            {
+                *r -= rate * dt;
+                if *r <= below {
+                    done.push(i as u32);
+                }
+            }
+        } else {
+            for (i, (&r, &below)) in remaining.iter().zip(done_below.iter()).enumerate() {
+                if r <= below {
+                    done.push(i as u32);
+                }
+            }
+        }
+    }
+
+    /// Recomputes max-min fair rates if the transferring set changed, and
+    /// copies them into the rate column.
     fn refresh_rates(&mut self) {
         if !self.dirty {
             return;
         }
         self.dirty = false;
         self.solver.solve();
+        for (rate, &slot) in self.transfers.rate.iter_mut().zip(&self.transfers.slot) {
+            *rate = self.solver.rate(slot as usize);
+        }
         self.stats.solves += 1;
         self.stats.rounds += self.solver.rounds();
         self.stats.resumed += self.solver.resumed();
         self.stats.flows += self.solver.num_flows() as u64;
-    }
-}
-
-/// Enters a flow over `route` into `solver`: its transfer phase.
-fn transfer(solver: &mut Solver, route: &Route, rate_cap: f64) -> Phase {
-    let links = route.links().iter().map(|l| l.index());
-    let slot = solver.add_flow(links, rate_cap);
-    Phase::Transfer {
-        slot: u32::try_from(slot).expect("more than u32::MAX flows"),
     }
 }
 
@@ -250,6 +381,13 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use rats_platform::{ClusterSpec, LinkSpec, TopologySpec};
+
+    impl NetSim<'_> {
+        /// No flow waits or transfers, and the solver holds none.
+        fn is_idle(&self) -> bool {
+            self.waiting.is_empty() && self.transfers.len() == 0 && self.solver.num_flows() == 0
+        }
+    }
 
     fn zero_latency_cluster(n: u32) -> ClusterSpec {
         ClusterSpec {
@@ -303,7 +441,7 @@ mod tests {
         assert!((t - 2.0).abs() < 1e-9, "200 B at 100 B/s: t = {t}");
         let done = advance(&mut net, t);
         assert_eq!(done, [7]);
-        assert!(net.flows.is_empty());
+        assert!(net.is_idle());
     }
 
     #[test]
@@ -399,7 +537,7 @@ mod tests {
         let (t, done) = drain(&mut net);
         assert_eq!(done.len(), started);
         assert!(t > 0.0);
-        assert!(net.flows.is_empty());
+        assert!(net.is_idle());
     }
 
     #[test]
@@ -419,6 +557,82 @@ mod tests {
         let mut net = NetSim::new(&p);
         assert!(advance(&mut net, 42.0).is_empty());
         assert_eq!(net.time(), 42.0);
+    }
+
+    /// Two cabinets of six nodes, 100 B/s everywhere; only the uplinks
+    /// have latency (0.25 s each), so a flow between cabinets waits 0.5 s
+    /// and one inside a cabinet transfers at once.
+    fn uplink_latency_cluster() -> Platform {
+        let mut spec = zero_latency_cluster(12);
+        spec.topology = TopologySpec::Hierarchical {
+            cabinets: 2,
+            nodes_per_cabinet: 6,
+            uplink: LinkSpec {
+                latency_s: 0.25,
+                bandwidth_bps: 100.0,
+            },
+        };
+        Platform::from_spec(&spec)
+    }
+
+    /// Advances both engines to their next event; returns its time and the
+    /// completions, asserted equal.
+    fn step_both(net: &mut NetSim, want: &mut reference::NetSim) -> (f64, Vec<u64>) {
+        let t = next_events(net, want).expect("a pending event");
+        let mut done = Vec::new();
+        net.advance_to(t, &mut done);
+        let mut expected = Vec::new();
+        want.advance_to(t, &mut expected);
+        assert_eq!(done, expected, "completions at {t}");
+        (t, done)
+    }
+
+    #[test]
+    fn completions_come_in_start_order_after_the_rows_are_scrambled() {
+        let p = uplink_latency_cluster();
+        let mut net = NetSim::new(&p);
+        let mut want = reference::NetSim::new(&p);
+        // a: between cabinets, starts first but transfers from 0.5 s on;
+        // b and e: done at 1.5 s, like a; c: done at 1 s. No links shared.
+        for (src, dst, bytes, tag) in [
+            (0, 6, 100.0, 0),
+            (1, 2, 150.0, 1),
+            (7, 8, 150.0, 2),
+            (3, 4, 100.0, 3),
+        ] {
+            assert!(net.start_flow(src, dst, bytes, tag));
+            assert!(want.start_flow(src, dst, bytes, tag));
+        }
+        assert_eq!(net.transfers.tag, [1, 2, 3], "a waits");
+        assert_eq!(step_both(&mut net, &mut want), (0.5, vec![]));
+        assert_eq!(net.transfers.tag, [1, 2, 3, 0], "a enters last");
+        assert_eq!(step_both(&mut net, &mut want), (1.0, vec![3]));
+        assert_eq!(net.transfers.tag, [1, 2, 0], "a moved into c's row");
+        // Rows b, e, a complete together: they leave last row first and
+        // are reported in start order, which is neither order.
+        assert_eq!(step_both(&mut net, &mut want), (1.5, vec![0, 1, 2]));
+        assert!(net.is_idle());
+        assert_eq!(next_events(&mut net, &mut want), None);
+    }
+
+    #[test]
+    fn a_latency_phase_ends_at_the_time_a_transfer_completes() {
+        let p = uplink_latency_cluster();
+        let mut net = NetSim::new(&p);
+        let mut want = reference::NetSim::new(&p);
+        // x sends 50 B out of node 0 alone: done at 0.5 s, when y's latency
+        // phase ends. y then has node 0's link to itself: 100 B in 1 s.
+        for (src, dst, bytes, tag) in [(0, 1, 50.0, 0), (0, 6, 100.0, 1)] {
+            assert!(net.start_flow(src, dst, bytes, tag));
+            assert!(want.start_flow(src, dst, bytes, tag));
+        }
+        assert_eq!(step_both(&mut net, &mut want), (0.5, vec![0]));
+        assert_eq!(net.transfers.tag, [1], "y transfers, x has left");
+        assert!(net.waiting.is_empty());
+        assert_eq!(net.transfers.remaining, [100.0], "y has not progressed yet");
+        assert_eq!(step_both(&mut net, &mut want), (1.5, vec![1]));
+        assert!(net.is_idle());
+        assert_eq!(net.stats().solves, want.solves());
     }
 
     /// A small random platform for the engine parity suite: flat,
@@ -492,13 +706,15 @@ mod tests {
     }
 
     /// Advances both engines to `t`; asserts equal completions and clocks.
-    fn advance_both(t: f64, net: &mut NetSim, want: &mut reference::NetSim) {
+    /// Returns whether a flow completed.
+    fn advance_both(t: f64, net: &mut NetSim, want: &mut reference::NetSim) -> bool {
         let (mut got, mut expected) = (Vec::new(), Vec::new());
         net.advance_to(t, &mut got);
         want.advance_to(t, &mut expected);
         assert_eq!(got, expected, "completions at {t}");
         assert_eq!(net.time().to_bits(), want.time().to_bits());
         assert_eq!(net.stats().solves, want.solves());
+        !got.is_empty()
     }
 
     proptest! {
@@ -509,39 +725,78 @@ mod tests {
         /// exactly, through to the drained network.
         #[test]
         fn net_sim_matches_the_reference_engine(seed in 0u64..u64::MAX) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let platform = parity_platform(&mut rng);
-            let n = platform.num_procs();
-            let mut net = NetSim::new(&platform);
-            let mut want = reference::NetSim::new(&platform);
-            let mut tag = 0;
-            for _ in 0..rng.random_range(1..=40usize) {
-                match rng.random_range(0..10usize) {
-                    0..=3 => start_flows(&mut rng, n, &mut tag, &mut net, &mut want),
-                    4..=6 => {
-                        if let Some(t) = next_events(&mut net, &mut want) {
-                            advance_both(t, &mut net, &mut want);
-                        }
-                    }
-                    7 => {
-                        let now = net.time();
-                        let t = match next_events(&mut net, &mut want) {
-                            Some(next) => now + (next - now) * rng.random_range(0.0..1.0),
-                            None => now + rng.random_range(0.0..1.0),
-                        };
+            prop_assert!(!parity_script(seed), "both engines stalled");
+        }
+    }
+
+    // The same parity property at 20,000 cases, for a release run:
+    // `cargo test --release -p rats-simnet --lib -- --ignored`. About one
+    // script in 700 ends with both engines stalled (see `parity_script`);
+    // parity is checked up to the stall.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        #[test]
+        #[ignore = "deep parity run, ~2 s in release"]
+        fn net_sim_matches_the_reference_engine_deep(seed in 0u64..u64::MAX) {
+            parity_script(seed);
+        }
+    }
+
+    /// Runs one random engine script (see
+    /// `net_sim_matches_the_reference_engine`); returns whether both
+    /// engines stalled in the drain instead of going idle.
+    fn parity_script(seed: u64) -> bool {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let platform = parity_platform(&mut rng);
+        let n = platform.num_procs();
+        let mut net = NetSim::new(&platform);
+        let mut want = reference::NetSim::new(&platform);
+        let mut tag = 0;
+        for _ in 0..rng.random_range(1..=40usize) {
+            match rng.random_range(0..10usize) {
+                0..=3 => start_flows(&mut rng, n, &mut tag, &mut net, &mut want),
+                4..=6 => {
+                    if let Some(t) = next_events(&mut net, &mut want) {
                         advance_both(t, &mut net, &mut want);
                     }
-                    8 => {
-                        next_events(&mut net, &mut want);
-                    }
-                    _ => advance_both(net.time(), &mut net, &mut want),
+                }
+                7 => {
+                    let now = net.time();
+                    let t = match next_events(&mut net, &mut want) {
+                        Some(next) => now + (next - now) * rng.random_range(0.0..1.0),
+                        None => now + rng.random_range(0.0..1.0),
+                    };
+                    advance_both(t, &mut net, &mut want);
+                }
+                8 => {
+                    next_events(&mut net, &mut want);
+                }
+                _ => {
+                    advance_both(net.time(), &mut net, &mut want);
                 }
             }
-            while let Some(t) = next_events(&mut net, &mut want) {
-                advance_both(t, &mut net, &mut want);
-            }
-            prop_assert!(net.flows.is_empty());
-            prop_assert_eq!(net.solver.num_flows(), 0);
         }
+        // Drain, unless both engines stall. A transfer whose time to
+        // completion is below half an ulp of the clock has its next event
+        // at the current time, and advancing there moves no byte: two
+        // advances in a row to the current time that complete nothing
+        // leave a state no later call changes. Both engines share this
+        // fault of the model.
+        let mut idle_advances = 0;
+        while let Some(t) = next_events(&mut net, &mut want) {
+            let now = net.time();
+            let completed = advance_both(t, &mut net, &mut want);
+            idle_advances = if t == now && !completed {
+                idle_advances + 1
+            } else {
+                0
+            };
+            if idle_advances == 2 {
+                return true;
+            }
+        }
+        assert!(net.is_idle());
+        false
     }
 }

@@ -18,8 +18,10 @@
 //!   between solves. [`add_flow`](maxmin::Solver::add_flow) returns a slot,
 //!   [`remove_flow`](maxmin::Solver::remove_flow) frees it for reuse, and
 //!   [`solve`](maxmin::Solver::solve) rates every live flow, read back with
-//!   [`rate`](maxmin::Solver::rate). Each link keeps its flow list and
-//!   flows are grouped by cap value in ascending order, so a solve neither
+//!   [`rate`](maxmin::Solver::rate). Each link keeps its flow list, every
+//!   slot's route is a region of one shared hop array (a freed slot keeps
+//!   its region; a longer route moves it to the array's end), and flows
+//!   are grouped by cap value in ascending order, so a solve neither
 //!   re-indexes nor sorts, and once warm nothing allocates. A solve
 //!   resumes: it keeps a history of the last solve (per filling round the
 //!   increment, the link term and a link attaining it; per round start the
@@ -44,10 +46,15 @@
 //!   latency phase, then transfer at their fair rate; the embedding
 //!   simulation (e.g. `rats-sim`) advances it to each next event time and
 //!   gets back, in a buffer it owns, the caller tags of the flows that
-//!   completed. A flow enters the solver when its latency phase ends and
-//!   leaves it when it completes; `NetSim` re-solves whenever the
-//!   transferring set changes and counts that work in [`NetStats`]
-//!   (solves, rounds, rounds resumed, flows). The
+//!   completed, in start order. A flow waits in a short list through its
+//!   latency phase, then enters the solver and flat transfer columns
+//!   (bytes remaining, done threshold, rate, slot, tag, start number) and
+//!   leaves both when it completes; each event is one pass over the
+//!   columns. `NetSim` re-solves whenever the transferring set changes,
+//!   copies the rates into the rate column once per solve, and counts its
+//!   work in [`NetStats`] (solves, rounds, rounds resumed, flows, transfer
+//!   steps). The layout changes no arithmetic operand, so every bit
+//!   matches the engine before it. The
 //!   same feature keeps the engine that rebuilt the whole problem per solve
 //!   as `reference::NetSim`, the oracle of the engine parity proptest and
 //!   of `rats-sim`'s paper-scale parity test.

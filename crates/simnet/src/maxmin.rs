@@ -105,6 +105,19 @@ const NONE: u32 = u32::MAX;
 /// saturates or the pointer group, which the walk check keeps non-empty,
 /// reaches its cap.)
 ///
+/// # Layout
+///
+/// Every slot's route lives in one shared hop array: a slot owns a region
+/// of it (`hop_start`, `hop_len`, `hop_cap`) holding `(link, position in
+/// that link's flow list)` per crossing. A freed slot keeps its region,
+/// and `add_flow` moves a slot to a fresh region at the end of the array
+/// only when the new route is longer than the region, so once every slot
+/// has carried its longest route nothing allocates, and the array holds
+/// at most `ℓ(ℓ + 1)/2` entries per slot for the longest route `ℓ`.
+/// Freezing a flow, replaying a round, logging a removal and re-pointing
+/// the flow a removal moves all read slices of that array, not a heap
+/// allocation per slot.
+///
 /// # Cost
 ///
 /// Each link keeps the list of flows crossing it, and each flow its
@@ -124,6 +137,11 @@ pub struct Solver {
     eps: f64,
     /// Every slot ever handed out, live or free.
     slots: Vec<Slot>,
+    /// Every slot's route, `(link, position of the slot in on_link[link])`
+    /// per crossing, in one array: slot `i` owns the region
+    /// `hop_start..hop_start + hop_cap` and its route is the first
+    /// `hop_len` entries of it.
+    hops: Vec<(u32, u32)>,
     /// Free slots, reused last-freed first.
     free: Vec<u32>,
     /// Live slots, in no particular order.
@@ -159,10 +177,14 @@ pub struct Solver {
 }
 
 /// One flow position of the solver.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Slot {
-    /// `(link, position of this slot in on_link[link])` per crossing.
-    route: Vec<(u32, u32)>,
+    /// Its region of [`Solver::hops`]: where it starts, how many entries
+    /// the route fills and how many it can hold. A freed slot keeps its
+    /// region for the next flow it takes.
+    hop_start: u32,
+    hop_len: u32,
+    hop_cap: u32,
     cap: f64,
     /// Cap group id ([`NO_GROUP`] for a non-finite cap) and the position
     /// of this slot in its member list.
@@ -193,6 +215,15 @@ struct Mark {
     round: u32,
     /// Whether its cap froze it, rather than a saturated link.
     by_cap: bool,
+}
+
+impl Slot {
+    /// Its route's entries in [`Solver::hops`].
+    #[inline]
+    fn hops(&self) -> std::ops::Range<usize> {
+        let start = self.hop_start as usize;
+        start..start + self.hop_len as usize
+    }
 }
 
 impl Mark {
@@ -397,6 +428,7 @@ impl Solver {
         Self {
             eps,
             slots: Vec::new(),
+            hops: Vec::new(),
             free: Vec::new(),
             live: Vec::new(),
             on_link: vec![Vec::new(); nl],
@@ -466,11 +498,19 @@ impl Solver {
         let s = slot as usize;
         self.rates[s] = 0.0;
         self.marks[s] = Mark::UNFROZEN;
-        let mut route = std::mem::take(&mut self.slots[s].route);
-        route.clear();
-        for &l in &self.pending {
+        // The route goes into the slot's region, or into a fresh one at the
+        // end of `hops` if it is longer than the region.
+        let len = self.pending.len() as u32;
+        let mut region = self.slots[s];
+        if len > region.hop_cap {
+            region.hop_start = u32::try_from(self.hops.len()).expect("more than u32::MAX hops");
+            region.hop_cap = len;
+            self.hops.resize(self.hops.len() + len as usize, (0, 0));
+        }
+        region.hop_len = len;
+        for (hop, &l) in self.hops[region.hops()].iter_mut().zip(&self.pending) {
             let list = &mut self.on_link[l as usize];
-            route.push((l, list.len() as u32));
+            *hop = (l, list.len() as u32);
             list.push(slot);
         }
         let (group, group_pos) = if rate_cap.is_finite() {
@@ -496,7 +536,9 @@ impl Solver {
             NONE
         };
         self.slots[s] = Slot {
-            route,
+            hop_start: region.hop_start,
+            hop_len: len,
+            hop_cap: region.hop_cap,
             cap: rate_cap,
             group,
             group_pos,
@@ -519,14 +561,13 @@ impl Solver {
         // Swap-remove from each crossed link's list, re-pointing the flow
         // that moves into the hole. Entries are re-read each step: with a
         // repeated link, the moved flow may be this one.
-        for k in 0..self.slots[slot].route.len() {
-            let (l, pos) = self.slots[slot].route[k];
+        for k in self.slots[slot].hops() {
+            let (l, pos) = self.hops[k];
             let list = &mut self.on_link[l as usize];
             list.swap_remove(pos as usize);
             if let Some(&moved) = list.get(pos as usize) {
                 let last = list.len() as u32;
-                let hop = self.slots[moved as usize]
-                    .route
+                let hop = self.hops[self.slots[moved as usize].hops()]
                     .iter_mut()
                     .find(|h| **h == (l, last))
                     .expect("a listed flow records its position");
@@ -574,18 +615,14 @@ impl Solver {
         if !self.logging() {
             return;
         }
-        let Slot {
-            ref route,
-            cap,
-            group,
-            ..
-        } = self.slots[slot];
-        if route.is_empty() && cap.is_infinite() {
+        let removed = self.slots[slot];
+        let Slot { cap, group, .. } = removed;
+        if removed.hop_len == 0 && cap.is_infinite() {
             self.log.structural = true;
             return;
         }
         let start = self.log.removed_links.len() as u32;
-        for &(l, _) in route {
+        for &(l, _) in &self.hops[removed.hops()] {
             self.log.touch_link(l);
             self.log.removed_links.push(l);
         }
@@ -714,7 +751,7 @@ impl Solver {
         for &i in &self.live {
             let i = i as usize;
             let slot = &self.slots[i];
-            if slot.route.is_empty() && slot.cap.is_infinite() {
+            if slot.hop_len == 0 && slot.cap.is_infinite() {
                 self.rates[i] = f64::INFINITY;
                 self.marks[i] = Mark {
                     stamp: self.solve_no,
@@ -766,7 +803,7 @@ impl Solver {
         }
         for &a in &log.added {
             let slot = &self.slots[a as usize];
-            for &(l, _) in &slot.route {
+            for &(l, _) in &self.hops[slot.hops()] {
                 s.links[log.link(l)].added += 1;
             }
             if slot.group != NO_GROUP {
@@ -791,6 +828,7 @@ impl Solver {
             capacity,
             eps,
             slots,
+            hops,
             groups,
             cap_order,
             marks,
@@ -836,8 +874,7 @@ impl Solver {
         let mut freezing = 0;
         for (f, &a) in s.freezing.iter_mut().zip(&log.added) {
             let link_frozen = marks[a as usize].round == NONE
-                && slots[a as usize]
-                    .route
+                && hops[slots[a as usize].hops()]
                     .iter()
                     .any(|&(l, _)| s.links[log.link(l)].saturated);
             *f = link_frozen.then_some(false);
@@ -928,7 +965,7 @@ impl Solver {
                 round,
                 by_cap,
             };
-            for &(l, _) in &slot.route {
+            for &(l, _) in &hops[slot.hops()] {
                 s.links[log.link(l)].added -= 1;
             }
             if slot.group != NO_GROUP {
@@ -1120,7 +1157,7 @@ impl Solver {
             round,
             by_cap,
         };
-        for &(l, _) in &slot.route {
+        for &(l, _) in &self.hops[slot.hops()] {
             self.flows_on_link[l as usize] -= 1;
         }
         if slot.group != NO_GROUP {
@@ -1737,6 +1774,94 @@ mod tests {
         assert_bit_identical(&mut s, &capacity, &live);
         assert_eq!(listed(&s, 0), [b]);
         assert!(s.on_link[1].is_empty());
+    }
+
+    /// Slot `i`'s region of the hop array: start, route length, capacity.
+    fn region(s: &Solver, i: usize) -> (u32, u32, u32) {
+        let slot = &s.slots[i];
+        (slot.hop_start, slot.hop_len, slot.hop_cap)
+    }
+
+    #[test]
+    fn a_freed_slot_keeps_its_hop_region_unless_the_new_route_is_longer() {
+        let capacity = [10.0; 4];
+        let mut s = Solver::new(capacity.to_vec());
+        let a = s.add_flow([0, 1], f64::INFINITY);
+        let b = s.add_flow([2], f64::INFINITY);
+        assert_eq!((region(&s, a), region(&s, b)), ((0, 2, 2), (2, 1, 1)));
+        // Shorter: the slot keeps its region.
+        s.remove_flow(a);
+        let c = s.add_flow([3], f64::INFINITY);
+        assert_eq!(c, a, "the freed slot is reused");
+        assert_eq!(region(&s, c), (0, 1, 2));
+        assert_eq!(s.hops[..3], [(3, 0), (1, 0), (2, 0)]);
+        // As long as the region: still in place.
+        s.remove_flow(c);
+        let d = s.add_flow([1, 3], f64::INFINITY);
+        assert_eq!(region(&s, d), (0, 2, 2));
+        // Longer: the slot moves to a fresh region at the end.
+        s.remove_flow(b);
+        let e = s.add_flow([0, 2, 3], 5.0);
+        assert_eq!(e, b, "the freed slot is reused");
+        assert_eq!(region(&s, e), (3, 3, 3));
+        assert_eq!(s.hops, [(1, 0), (3, 0), (2, 0), (0, 0), (2, 0), (3, 1)]);
+        let live = [(d, flow(&[1, 3])), (e, capped(&[0, 2, 3], 5.0))];
+        assert_bit_identical(&mut s, &capacity, &live);
+        assert_eq!(s.rate(e), 5.0);
+    }
+
+    #[test]
+    fn remove_flow_repoints_the_moved_flows_hop_in_the_array() {
+        let capacity = [10.0; 3];
+        let mut s = Solver::new(capacity.to_vec());
+        let a = s.add_flow([0], f64::INFINITY);
+        let b = s.add_flow([1, 0], f64::INFINITY);
+        let c = s.add_flow([2, 0], f64::INFINITY);
+        // c, last on link 0, moves into a's place there.
+        s.remove_flow(a);
+        assert_eq!(listed(&s, 0), [c, b]);
+        assert_eq!(s.hops[s.slots[c].hops()], [(2, 0), (0, 0)]);
+        assert_eq!(s.hops[s.slots[b].hops()], [(1, 0), (0, 1)]);
+        let mut live = vec![(b, flow(&[1, 0])), (c, flow(&[2, 0]))];
+        assert_bit_identical(&mut s, &capacity, &live);
+        // b, now last on link 0 again, moves into c's place.
+        s.remove_flow(c);
+        live.pop();
+        assert_eq!(listed(&s, 0), [b]);
+        assert_eq!(s.hops[s.slots[b].hops()], [(1, 0), (0, 0)]);
+        assert_bit_identical(&mut s, &capacity, &live);
+    }
+
+    #[test]
+    fn warm_add_remove_cycles_of_equal_length_routes_keep_the_hop_array_flat() {
+        let capacity = vec![125e6; 8];
+        let mut s = Solver::new(capacity.clone());
+        let mut live: std::collections::VecDeque<(usize, FlowSpec)> = (0..6)
+            .map(|i| {
+                let f = flow(&[i, (i + 1) % 8]);
+                (add(&mut s, &f), f)
+            })
+            .collect();
+        s.solve();
+        let len = s.hops.len();
+        assert_eq!(len, 12);
+        for i in 0..200usize {
+            for _ in 0..2 {
+                s.remove_flow(live.pop_front().unwrap().0);
+            }
+            for k in 0..2 {
+                let cap = if (i + k) % 2 == 0 {
+                    81.92e6
+                } else {
+                    f64::INFINITY
+                };
+                let f = capped(&[(i + k) % 8, (i + 3) % 8], cap);
+                live.push_back((add(&mut s, &f), f));
+            }
+            s.solve();
+            assert_eq!(s.hops.len(), len, "after cycle {i}");
+        }
+        assert_bit_identical(&mut s, &capacity, live.make_contiguous());
     }
 
     #[test]
