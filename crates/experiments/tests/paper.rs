@@ -18,6 +18,14 @@ const GOLDEN_FIG2_3: &str = include_str!("golden/paper_fig2_3.txt");
 /// rendered figures round their numbers; this pins the unrounded records.
 const RECORDS_FIG2_3: u64 = 0x390a_9551_3701_8e5f;
 
+/// `campaign paper all --threads 2` at paper scale: every table and figure
+/// of the report, from one campaign over the three paper clusters, the 557
+/// paper scenarios and every sweep strategy.
+const GOLDEN_ALL: &str = include_str!("golden/paper_all.txt");
+
+/// [`records_digest`] of the paper-scale `all` outcome.
+const RECORDS_ALL: u64 = 0xdd39_c959_c361_5ee3;
+
 /// FNV-1a over the bits of every record's `makespan` and `work`.
 fn records_digest(outcome: &SpecOutcome) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -59,7 +67,8 @@ fn quick_report_matches_the_golden_file() {
 /// rendering must match the golden text and its records the golden
 /// digest. Ignored by default: it runs 1671 jobs (about 10 s in a release
 /// build, minutes in a debug one); run it with
-/// `cargo test --release -p rats-experiments --test paper -- --ignored`.
+/// `cargo test --release -p rats-experiments --test paper -- --ignored
+/// paper_scale_fig2_3`.
 #[test]
 #[ignore]
 fn paper_scale_fig2_3_matches_the_golden_file() {
@@ -84,6 +93,31 @@ fn paper_scale_fig2_3_matches_the_golden_file() {
     assert_eq!(
         digest, RECORDS_FIG2_3,
         "paper-scale fig2_3 records digest {digest:#018x}"
+    );
+}
+
+/// The whole report at paper scale: its rendering must match the golden
+/// text and its records the golden digest. Ignored by default: it runs
+/// the report's one campaign (about 90 s in a release build on two
+/// threads); run it with `cargo test --release -p rats-experiments --test
+/// paper -- --ignored paper_scale_report`.
+#[test]
+#[ignore]
+fn paper_scale_report_matches_the_golden_file() {
+    let mut spec = Artifact::All
+        .spec(false)
+        .expect("the report runs a campaign");
+    spec.threads = Some(2);
+    let outcome = spec.run().expect("the built-in paper specs are valid");
+    assert_matches_golden(
+        "paper-scale report",
+        &Artifact::All.render(false, 2, Some(&outcome)),
+        GOLDEN_ALL,
+    );
+    let digest = records_digest(&outcome);
+    assert_eq!(
+        digest, RECORDS_ALL,
+        "paper-scale report records digest {digest:#018x}"
     );
 }
 

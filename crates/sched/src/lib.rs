@@ -24,7 +24,7 @@
 //! shipped policies are the variants of the `Copy` [`MappingStrategy`] enum
 //! — HCPA (the non-adopting baseline), delta, time-cost and combined —
 //! which implements the trait directly, so sweeps and serialized
-//! experiment specs drive exactly the engine path each strategy declares.
+//! experiment specs drive the same engine as any external policy.
 //! External crates can define their own policies (see the example in
 //! [`policy`]).
 //!
@@ -39,8 +39,9 @@
 //! (newly ready tasks discovered in O(out-degree) at placement, not by
 //! re-scanning the graph per round), redistribution arrival times come from
 //! the streaming, memoizing [`rats_redist::RedistCache`] (no transfer
-//! matrix is materialized per candidate evaluation), per-task `data_ready`
-//! terms are cached per candidate-set fingerprint, ready-list sort keys are
+//! matrix is materialized per candidate evaluation), every estimate walks
+//! a task's predecessor arrivals in descending bound order and stops at the
+//! first one that cannot raise the start, ready-list sort keys are
 //! computed once per round, and the earliest-k placement search uses O(P)
 //! partial selection. None of this changes behavior: the pre-incremental
 //! driver is retained under the `reference` cargo feature

@@ -27,8 +27,9 @@
 //!   [`rats_redist::RedistCache`]: no transfer matrix is materialized, and
 //!   arrival times are memoized per (producer entry, payload,
 //!   candidate-set) — sound because a placed producer's set and finish time
-//!   are immutable. On top, the driver memoizes each task's `data_ready`
-//!   term per candidate-set fingerprint;
+//!   are immutable. Every estimate, whatever the policy or the DAG size,
+//!   takes the one path below: per-task bound scalars, the sorted per-task
+//!   bound arena, then the early-stopping arrival walk;
 //! * **bound pruning** — `data_ready` is a max over predecessor arrivals,
 //!   and `f64::max` over non-negative values is exact, so sound
 //!   upper/lower bounds prune most exact evaluations bit-identically:
@@ -41,11 +42,7 @@
 //!   once per task per round instead of inside the comparator;
 //! * **placement search** — `earliest_k` selects the k earliest-available
 //!   processors by partial selection (O(P)) in a reused scratch buffer
-//!   instead of sorting all P in a fresh vector;
-//! * **small DAGs** — below [`SMALL_DAG_TASKS`] tasks the memo tables and
-//!   bound arenas never pay for themselves, so the driver skips their setup
-//!   and evaluates `data_ready` directly (bit-identical: the memoized path
-//!   computes the same max over the same arrivals).
+//!   instead of sorting all P in a fresh vector.
 //!
 //! The engine is *behavior-preserving*: the pre-incremental driver is
 //! retained verbatim (under `#[cfg(test)]` / the `reference` feature, see
@@ -56,19 +53,13 @@ use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 use rats_dag::{bottom_levels, ReadyTracker, TaskGraph, TaskId};
-use rats_platform::{Platform, ProcSet, SetMemo};
+use rats_platform::{Platform, ProcSet};
 use rats_redist::{align_for_self_comm, RedistCache};
 
 use crate::allocation::{allocate, reference_bandwidth, AllocParams, Allocation};
 use crate::policy::{MapView, MappingDecision, MappingPolicy};
 use crate::schedule::{Schedule, ScheduleEntry};
 use crate::strategy::{CandidatePolicy, MappingStrategy, SecondarySort};
-
-/// Below this many tasks the driver skips memo/arena setup entirely and
-/// evaluates estimates directly — at small sizes the setup dominates the
-/// run (pinned by the `small_dag_fast_path_parity` test spanning the
-/// threshold).
-pub(crate) const SMALL_DAG_TASKS: usize = 64;
 
 /// Two-step scheduler: allocation (step one) + mapping (step two).
 ///
@@ -270,9 +261,10 @@ const UNBUILT_SCALARS: BoundScalars = BoundScalars {
     finish_max: 0.0,
 };
 
-/// Memoized estimate state of one mapping run. Interior-mutable because the
-/// policies observe the driver through the read-only [`MapView`] while the
-/// caches warm up underneath.
+/// Cached estimate state of one mapping run: redistribution arrivals and
+/// the per-task bound arena. Interior-mutable because the policies observe
+/// the driver through the read-only [`MapView`] while the caches warm up
+/// underneath.
 ///
 /// Everything here is sound for one reason: every predecessor of a ready
 /// task is placed, and placed entries are immutable.
@@ -280,9 +272,6 @@ struct MapCache {
     /// Streaming redistribution estimates, memoized per (producer entry,
     /// payload, candidate).
     redist: RedistCache,
-    /// `data_ready` per task, keyed by candidate set (slot = consumer
-    /// task).
-    data_ready: SetMemo<f64>,
     /// Per-task CSR range (`bstart`, `blen`) into the `bitems` arena —
     /// built later and more rarely than the scalars, on the first estimate
     /// the scalar bound does *not* short-circuit. `bstart == u32::MAX` =
@@ -412,15 +401,6 @@ pub(crate) struct Mapper<'a> {
     order: Vec<TaskId>,
     cache: RefCell<MapCache>,
     scratch: Scratch,
-    /// Small-DAG fast path: skip memo/bound machinery entirely.
-    small: bool,
-    /// Single-estimate policy ([`MappingPolicy::repeats_estimates`] is
-    /// `false`): every task is estimated once, so cached bounds cannot
-    /// amortize — estimates run as one fused pass over the predecessors.
-    single: bool,
-    /// `data_ready` memoization on (see
-    /// [`MappingPolicy::memoize_data_ready`]).
-    memo: bool,
     /// Per-run telemetry tally (plain cells, flushed once per run —
     /// observational only, never read back by the engine).
     tally: crate::telemetry::RunTally,
@@ -456,9 +436,6 @@ impl<'a> Mapper<'a> {
             .collect();
         let bottom = bottom_levels(dag, &times, |_, bytes| bytes / beta);
         let n = dag.num_tasks();
-        let small = n < SMALL_DAG_TASKS;
-        let single = !policy.repeats_estimates();
-        let memo = !small && !single && policy.memoize_data_ready();
         Self {
             dag,
             platform,
@@ -476,33 +453,16 @@ impl<'a> Mapper<'a> {
             },
             proc_ready: vec![0.0; platform.num_procs() as usize],
             proc_argmin: ArgminTree::new(platform.num_procs()),
-            bound: if small || single {
-                Vec::new()
-            } else {
-                vec![Cell::new(UNBUILT_SCALARS); n]
-            },
+            bound: vec![Cell::new(UNBUILT_SCALARS); n],
             ub: RedistCache::new(platform, 0).upper_bound_coeffs(),
             order: Vec::with_capacity(n),
             cache: RefCell::new(MapCache {
                 // One slot per task: slot t caches arrivals of data produced
                 // by placed task t, shared by all of t's consumers.
                 redist: RedistCache::new(platform, n),
-                data_ready: SetMemo::new(if memo { n } else { 0 }),
-                bstart: if small || single {
-                    Vec::new()
-                } else {
-                    vec![UNBUILT; n]
-                },
-                blen: if small || single {
-                    Vec::new()
-                } else {
-                    vec![0; n]
-                },
-                bitems: if small || single {
-                    Vec::new()
-                } else {
-                    Vec::with_capacity(dag.num_edges())
-                },
+                bstart: vec![UNBUILT; n],
+                blen: vec![0; n],
+                bitems: Vec::with_capacity(dag.num_edges()),
             }),
             scratch: Scratch {
                 procs: RefCell::new(Vec::new()),
@@ -513,9 +473,6 @@ impl<'a> Mapper<'a> {
                 seen_firsts: RefCell::new(Vec::new()),
                 seen_cands: RefCell::new(Vec::new()),
             },
-            small,
-            single,
-            memo,
             tally: crate::telemetry::RunTally::default(),
             #[cfg(any(test, feature = "reference"))]
             naive: false,
@@ -633,8 +590,8 @@ impl<'a> Mapper<'a> {
     }
 
     /// The time every input of `t` has arrived on the candidate set `procs`
-    /// (contention-free streaming estimates, memoized per task and
-    /// candidate).
+    /// (contention-free streaming estimates; each arrival is memoized in the
+    /// [`RedistCache`]).
     ///
     /// `data_ready` is a **max** over predecessor arrivals, and `f64::max`
     /// over non-negative values is exact — so predecessors whose *sound
@@ -650,20 +607,8 @@ impl<'a> Mapper<'a> {
         procs: &ProcSet,
         sc: BoundScalars,
     ) -> f64 {
-        if self.memo {
-            if let Some(v) = cache.data_ready.get(t.index(), procs, |_| true) {
-                crate::telemetry::bump(&self.tally.memo_hits);
-                return v;
-            }
-            crate::telemetry::bump(&self.tally.memo_misses);
-        }
         let (start, len) = self.bound_items(cache, t);
-        let MapCache {
-            redist,
-            data_ready,
-            bitems,
-            ..
-        } = cache;
+        let MapCache { redist, bitems, .. } = cache;
         // Seeding the running max with the latest predecessor finish only
         // removes evaluations whose arrival could not have raised the max —
         // the result is bit-identical.
@@ -677,8 +622,9 @@ impl<'a> Mapper<'a> {
             let arrival = if self.tasks.alloc[pred as usize] == 1 {
                 let first = self.tasks.placed_first[pred as usize];
                 if procs.len() == 1 && procs.as_slice()[0] == first {
-                    // Self-communication only — exactly zero cost (see the
-                    // fused walk in `estimate_core`).
+                    // Same single processor: pure self-communication, which
+                    // the estimator prices at exactly zero — the arrival is
+                    // the producer's finish.
                     self.tasks.finish[pred as usize]
                 } else {
                     let src = ProcSet::from_slice(&[first]);
@@ -704,32 +650,6 @@ impl<'a> Mapper<'a> {
                     self.platform,
                 )
             };
-            ready = ready.max(arrival);
-        }
-        if self.memo {
-            data_ready.insert(t.index(), procs, ready);
-        }
-        ready
-    }
-
-    /// Small-DAG `data_ready`: the same max over the same arrivals, without
-    /// memo tables or bound arenas (their setup dominates at a few dozen
-    /// tasks). Bit-identical because `f64::max` over a fixed multiset of
-    /// values is order-independent and exact.
-    fn data_ready_small(&self, cache: &mut MapCache, t: TaskId, procs: &ProcSet) -> f64 {
-        let mut ready = 0.0f64;
-        for a in self.dag.preds_flat(t) {
-            let pe = self.tasks.entries[a.task.index()]
-                .as_ref()
-                .expect("predecessors are mapped before their successors");
-            let arrival = cache.redist.arrival(
-                a.task.index(),
-                a.bytes,
-                &pe.procs,
-                pe.est_finish,
-                procs,
-                self.platform,
-            );
             ready = ready.max(arrival);
         }
         ready
@@ -791,14 +711,9 @@ impl<'a> Mapper<'a> {
             // Prune before touching the set or the seen-list (sound for
             // the same reason as the scalar bound in `estimate_core`;
             // later duplicates face an equal-or-smaller `beat` and prune
-            // identically).
-            let mut lb = self.tasks.finish[pred.index()];
-            if !self.small && !self.single {
-                let sc = self.bound[t.index()].get();
-                if !sc.bound_max.is_nan() {
-                    lb = lb.max(sc.finish_max);
-                }
-            }
+            // identically). Unbuilt scalars hold `finish_max = 0`, which no
+            // finish undercuts.
+            let lb = self.tasks.finish[pred.index()].max(self.bound[t.index()].get().finish_max);
             if lb + self.exec_on(t, np) >= beat - 1e-15 {
                 crate::telemetry::bump(&self.tally.pruned);
                 return None;
@@ -865,69 +780,11 @@ impl<'a> Mapper<'a> {
             // Entry task: `data_ready` is 0, the start is the availability.
             return Some((proc_avail, proc_avail + exec));
         }
-        if self.small {
-            // Small DAGs skip bounds too: estimates are few and cheap.
-            let cache = &mut *self.cache.borrow_mut();
-            let start = self.data_ready_small(cache, t, procs).max(proc_avail);
-            return Some((start, start + exec));
-        }
-        if self.single {
-            // Single-estimate policies visit each task once, so neither the
-            // cached bound scalars nor the sorted bound arena can amortize.
-            // One fused pass folds availability, predecessor finishes and
-            // the arrivals that can still raise the running max. Skipping
-            // an arrival whose upper bound cannot exceed the running start
-            // drops only values that cannot change it, and `f64::max` over
-            // non-negative values is exact and order-independent — the
-            // result is bit-identical to the two-pass scheme.
-            let cache = &mut *self.cache.borrow_mut();
-            let redist = &mut cache.redist;
-            let mut start = proc_avail;
-            for a in self.dag.preds_flat(t) {
-                let pred = a.task.index();
-                let finish = self.tasks.finish[pred];
-                start = start.max(finish);
-                if finish + redist.cost_upper_bound(a.bytes) <= start {
-                    continue;
-                }
-                let arrival = if self.tasks.alloc[pred] == 1 {
-                    let first = self.tasks.placed_first[pred];
-                    if procs.len() == 1 && procs.as_slice()[0] == first {
-                        // Same single processor: pure self-communication,
-                        // which the estimator prices at exactly zero — the
-                        // arrival is the producer's finish.
-                        finish
-                    } else {
-                        let src = ProcSet::from_slice(&[first]);
-                        redist.arrival(pred, a.bytes, &src, finish, procs, self.platform)
-                    }
-                } else {
-                    let pe = self.tasks.entries[pred]
-                        .as_ref()
-                        .expect("predecessors are mapped before their successors");
-                    redist.arrival(
-                        pred,
-                        a.bytes,
-                        &pe.procs,
-                        pe.est_finish,
-                        procs,
-                        self.platform,
-                    )
-                };
-                start = start.max(arrival);
-            }
-            if let Some(beat) = beat {
-                if start + exec >= beat - 1e-15 {
-                    return None;
-                }
-            }
-            return Some((start, start + exec));
-        }
         let sc = self.bound_scalars(t);
         if let Some(beat) = beat {
             // Sound: the start is at least max(proc_avail, finish_max) in
-            // both estimate branches (`data_ready` never undercuts the
-            // latest predecessor finish), and the execution time is exact.
+            // both branches below (`data_ready` never undercuts the latest
+            // predecessor finish), and the execution time is exact.
             if proc_avail.max(sc.finish_max) + exec >= beat - 1e-15 {
                 return None;
             }
@@ -949,13 +806,8 @@ impl<'a> Mapper<'a> {
     fn finish_lower_bound(&self, t: TaskId, procs: &ProcSet) -> f64 {
         let proc_avail = self.proc_avail(procs);
         let exec = self.exec_on(t, procs.len());
-        // Single-estimate runs keep no bound scalars; availability alone is
-        // still a sound bound, and the bound only prunes.
-        if self.small || self.single || self.dag.in_degree(t) == 0 {
-            return proc_avail + exec;
-        }
-        let sc = self.bound_scalars(t);
-        proc_avail.max(sc.finish_max) + exec
+        // An entry task's scalars are all zero: the bound is the availability.
+        proc_avail.max(self.bound_scalars(t).finish_max) + exec
     }
 
     /// The heaviest input edge's predecessor (most data to move) — the

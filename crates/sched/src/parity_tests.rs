@@ -133,10 +133,9 @@ fn structured_families_parity() {
 fn parity_holds_with_telemetry_spans_active() {
     // Telemetry is observational only: with wall-time capture enabled
     // process-wide (spans recording, tallies flushing), every policy must
-    // still match the reference engine bit for bit. Exercises both the
-    // small-DAG fast path and the full memo/bound machinery. The flag is
-    // global; other tests in this process are unaffected because metrics
-    // are never read back by the engine.
+    // still match the reference engine bit for bit. The flag is global;
+    // other tests in this process are unaffected because metrics are never
+    // read back by the engine.
     rats_telemetry::set_enabled(true);
     let platform = Platform::from_spec(&ClusterSpec::grillon());
     for (name, dag) in [
@@ -162,37 +161,6 @@ fn parity_holds_with_telemetry_spans_active() {
 }
 
 #[test]
-fn small_dag_fast_path_parity_across_threshold() {
-    // DAG sizes straddling `SMALL_DAG_TASKS`: the memo-free small-DAG path
-    // and the full arena/memo machinery sit on either side of the switch,
-    // and both must agree with the reference bit for bit.
-    use crate::mapping::SMALL_DAG_TASKS;
-    let platform = Platform::from_spec(&ClusterSpec::grillon());
-    let threshold = SMALL_DAG_TASKS as u32;
-    let (mut below, mut at_or_above) = (false, false);
-    for n in threshold - 2..=threshold + 2 {
-        let params = DagParams {
-            n,
-            width: 0.5,
-            regularity: 0.5,
-            density: 0.5,
-            jump: 2,
-        };
-        let dag = irregular_dag(&params, &CostParams::paper(), 0xBEEF + u64::from(n));
-        if dag.num_tasks() < SMALL_DAG_TASKS {
-            below = true;
-        } else {
-            at_or_above = true;
-        }
-        check_parity(&dag, &platform, &format!("threshold(n={n})"));
-    }
-    assert!(
-        below && at_or_above,
-        "test sizes failed to straddle the small-DAG threshold"
-    );
-}
-
-#[test]
 fn parity_on_platforms_spanning_procset_tiers() {
     // 64/65/256/257 processors put the largest processor id at
     // 63/64/255/256 — exactly straddling the ProcSet mask tiers (single
@@ -213,10 +181,11 @@ fn parity_on_platforms_spanning_procset_tiers() {
 }
 
 #[test]
-fn default_scheduler_takes_the_fused_walk_with_parent_aware_candidates() {
-    // `Scheduler::new` defaults to HCPA, whose single-estimate walk keeps no
-    // bound scalars; parent-aware candidate blocks must still be
-    // min-reduced without them, and match the reference bit for bit.
+fn default_scheduler_prunes_parent_aware_candidates_with_bound_scalars() {
+    // `Scheduler::new` defaults to HCPA, which estimates only the default
+    // placement; its parent-aware candidate blocks are min-reduced through
+    // the bound scalars' finish lower bounds, and must match the reference
+    // bit for bit.
     let platform = Platform::from_spec(&ClusterSpec::grillon());
     let params = DagParams {
         n: 200,

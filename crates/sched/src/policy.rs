@@ -242,6 +242,10 @@ impl<'a> MapView<'_, 'a> {
 /// accepts any implementation, so new strategies can live outside this
 /// crate. Implementations must be `Send + Sync` (campaigns evaluate many
 /// scenarios in parallel with a shared policy).
+///
+/// A policy chooses verdicts only: every estimate it asks the [`MapView`]
+/// for runs through the driver's one incremental estimate path, whatever
+/// the policy or the DAG size.
 pub trait MappingPolicy: Send + Sync {
     /// Short display name used by experiment tables and provenance records.
     fn name(&self) -> &str;
@@ -249,25 +253,6 @@ pub trait MappingPolicy: Send + Sync {
     /// The ready-list secondary sort this policy wants (section III-C).
     fn secondary_sort(&self) -> SecondarySort {
         SecondarySort::None
-    }
-
-    /// `true` if the policy may evaluate the same (task, candidate set)
-    /// estimate more than once per run. Policies that adopt or pack search
-    /// several candidates and revisit the default placement, so the engine
-    /// caches per-task bound scalars and arrival bounds across candidates;
-    /// a policy that only ever takes the single default estimate (HCPA)
-    /// opts out, and the driver evaluates each task as one fused
-    /// predecessor pass with no cached-bound machinery at all.
-    fn repeats_estimates(&self) -> bool {
-        true
-    }
-
-    /// Whether the driver should memoize `data_ready` per (task, candidate
-    /// set). Worth it only when a policy re-estimates many *identical*
-    /// non-singleton sets per task — the driver already skips duplicate
-    /// singleton candidates outright. Ignored for single-estimate policies.
-    fn memoize_data_ready(&self) -> bool {
-        true
     }
 
     /// The verdict for one ready task.
@@ -281,8 +266,7 @@ impl<P: MappingPolicy + 'static> From<P> for Box<dyn MappingPolicy> {
 }
 
 /// The shipped strategies implement the policy interface directly: the
-/// engine reads its hooks off the variant itself, so every campaign takes
-/// the path its strategy declares.
+/// secondary sort and the verdict are read off the variant itself.
 impl MappingPolicy for MappingStrategy {
     fn name(&self) -> &str {
         MappingStrategy::name(self)
@@ -290,18 +274,6 @@ impl MappingPolicy for MappingStrategy {
 
     fn secondary_sort(&self) -> SecondarySort {
         MappingStrategy::secondary_sort(self)
-    }
-
-    fn repeats_estimates(&self) -> bool {
-        // HCPA only ever takes the single default estimate per task.
-        !matches!(self, MappingStrategy::Hcpa)
-    }
-
-    fn memoize_data_ready(&self) -> bool {
-        // Time-cost, measured on dense 10k-task DAGs: the adoption-candidate
-        // dedup leaves the memo a <5% hit rate — two set hashes per miss
-        // cost more than the rare rebuilt walk saves.
-        !matches!(self, MappingStrategy::RatsTimeCost(_))
     }
 
     fn decide(&self, view: &MapView<'_, '_>, task: TaskId) -> MappingDecision {
@@ -516,28 +488,5 @@ fn decide_combined(
             }
         }
         _ => MappingDecision::Default(Some(default)),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The engine picks its path from these hooks, so each variant pins its
-    /// own: HCPA takes the fused single-estimate walk, time-cost skips the
-    /// `data_ready` memo, delta and combined use both cached forms.
-    #[test]
-    fn strategies_declare_their_engine_hooks() {
-        assert!(!MappingStrategy::Hcpa.repeats_estimates());
-        let time_cost = MappingStrategy::rats_time_cost(0.5, true);
-        assert!(time_cost.repeats_estimates());
-        assert!(!time_cost.memoize_data_ready());
-        for s in [
-            MappingStrategy::rats_delta(0.5, 0.5),
-            MappingStrategy::rats_combined(0.5, 1.0, 0.4),
-        ] {
-            assert!(s.repeats_estimates(), "{}", s.name());
-            assert!(s.memoize_data_ready(), "{}", s.name());
-        }
     }
 }

@@ -1,6 +1,6 @@
 //! Mapping-engine metrics: phase histograms (step-one allocation, whole
 //! mapping runs, ready-list rounds) and work counters (processors granted
-//! by step one, estimates evaluated vs. pruned, `data_ready` memo and
+//! by step one, estimates evaluated vs. pruned,
 //! [`rats_redist::RedistCache`] hit rates, [`ArgminTree`](crate::mapping)
 //! updates).
 //!
@@ -73,18 +73,6 @@ pub static ESTIMATES_PRUNED: Counter = Counter::new(
     "Candidate estimates skipped by sound finish lower bounds or duplicate-set detection.",
 );
 
-/// `data_ready` memo hits.
-pub static MEMO_HITS: Counter = Counter::new(
-    "rats_mapping_data_ready_memo_hits_total",
-    "data_ready evaluations answered from the per-task candidate-set memo.",
-);
-
-/// `data_ready` memo misses.
-pub static MEMO_MISSES: Counter = Counter::new(
-    "rats_mapping_data_ready_memo_misses_total",
-    "data_ready evaluations that had to walk predecessor arrivals.",
-);
-
 /// Redistribution cache hits.
 pub static REDIST_HITS: Counter = Counter::new(
     "rats_mapping_redist_cache_hits_total",
@@ -114,8 +102,6 @@ pub static METRICS: &[Metric] = &[
     Metric::Counter(&TASKS),
     Metric::Counter(&ESTIMATES),
     Metric::Counter(&ESTIMATES_PRUNED),
-    Metric::Counter(&MEMO_HITS),
-    Metric::Counter(&MEMO_MISSES),
     Metric::Counter(&REDIST_HITS),
     Metric::Counter(&REDIST_MISSES),
     Metric::Counter(&ARGMIN_UPDATES),
@@ -128,8 +114,6 @@ pub static METRICS: &[Metric] = &[
 pub(crate) struct RunTally {
     pub(crate) estimates: Cell<u64>,
     pub(crate) pruned: Cell<u64>,
-    pub(crate) memo_hits: Cell<u64>,
-    pub(crate) memo_misses: Cell<u64>,
     pub(crate) argmin_updates: Cell<u64>,
     pub(crate) rounds: Cell<u64>,
 }
@@ -149,8 +133,6 @@ impl RunTally {
         ROUNDS.add(self.rounds.get());
         ESTIMATES.add(self.estimates.get());
         ESTIMATES_PRUNED.add(self.pruned.get());
-        MEMO_HITS.add(self.memo_hits.get());
-        MEMO_MISSES.add(self.memo_misses.get());
         ARGMIN_UPDATES.add(self.argmin_updates.get());
         REDIST_HITS.add(redist_hits);
         REDIST_MISSES.add(redist_misses);

@@ -652,12 +652,8 @@ fn render_profile(wall_seconds: f64) -> String {
     };
     writeln!(
         out,
-        "\nhit rates: data-ready memo {}, redistribution cache {}, max-min rounds resumed {}, \
+        "\nhit rates: redistribution cache {}, max-min rounds resumed {}, \
          flows per event {flows_per_event}",
-        rate(
-            rats_sched::telemetry::MEMO_HITS.get(),
-            rats_sched::telemetry::MEMO_MISSES.get()
-        ),
         rate(
             rats_sched::telemetry::REDIST_HITS.get(),
             rats_sched::telemetry::REDIST_MISSES.get()

@@ -120,8 +120,14 @@ fn replay<N: Network>(
     run.start_ready_tasks();
     let mut done = 0usize;
     let mut events = 0u64;
+    // Liveness, checked in debug builds: an iteration that moves no clock,
+    // completes no flow and starts or finishes no task can only have ended
+    // a latency phase, and the iteration after that one moves the clock or
+    // completes the flow. Two such iterations in a row are a stall.
+    let mut idle_iterations = 0u32;
     while done < n {
         events += 1;
+        let (then, done_before, running_before) = (run.now, done, run.finish_events.len());
         let next_task = run.finish_events.peek().map(|Reverse((t, _))| t.0);
         run.now = match (next_task, run.net.next_event()) {
             (Some(a), Some(b)) => a.min(b),
@@ -166,6 +172,16 @@ fn replay<N: Network>(
 
         // 3. Start whatever became startable.
         run.start_ready_tasks();
+
+        let moved = now != then
+            || !run.completed.is_empty()
+            || done != done_before
+            || run.finish_events.len() != running_before;
+        idle_iterations = if moved { 0 } else { idle_iterations + 1 };
+        debug_assert!(
+            idle_iterations < 2,
+            "simulation stalled at t = {now}: {done}/{n} tasks done"
+        );
     }
 
     telemetry::flush(events, run.net.stats());

@@ -325,6 +325,12 @@ impl<'p> NetSim<'p> {
 
     /// One pass over the transfer columns: `remaining -= rate · dt` (when
     /// time moved), noting in `done` the rows that are done.
+    ///
+    /// When time did not move, a transfer whose completion rounds to the
+    /// clock (`time + remaining / rate == time`) is done too, though more
+    /// than `size · 1e-9` bytes are left: [`next_event`](Self::next_event)
+    /// made the same decision when it returned the current time, and no
+    /// advance there could move a byte.
     fn progress(&mut self, dt: f64) {
         self.stats.steps += self.transfers.len() as u64;
         let Transfers {
@@ -348,8 +354,15 @@ impl<'p> NetSim<'p> {
                 }
             }
         } else {
-            for (i, (&r, &below)) in remaining.iter().zip(done_below.iter()).enumerate() {
-                if r <= below {
+            let time = self.time;
+            for (i, ((&r, &below), &rate)) in remaining
+                .iter()
+                .zip(done_below.iter())
+                .zip(rate.iter())
+                .enumerate()
+            {
+                // At rate 0 the quotient is infinite and the test fails.
+                if r <= below || time + r / rate == time {
                     done.push(i as u32);
                 }
             }
@@ -635,6 +648,38 @@ mod tests {
         assert_eq!(net.stats().solves, want.solves());
     }
 
+    /// At t = 26,987.6 s a 1 kB transfer has 7.8e-5 B left at 6.25e7 B/s,
+    /// more than its `size · 1e-9` threshold. Its time to completion,
+    /// 1.25e-12 s, is below half an ulp of the clock, so its next event is
+    /// the current time: the advance there moves no byte and must complete
+    /// it rather than stall.
+    #[test]
+    fn a_transfer_whose_completion_rounds_to_the_clock_completes() {
+        let mut spec = zero_latency_cluster(4);
+        spec.node_link.bandwidth_bps = 6.25e7;
+        let p = Platform::from_spec(&spec);
+        let mut net = NetSim::new(&p);
+        let mut want = reference::NetSim::new(&p);
+        advance_both(26_987.6, &mut net, &mut want);
+        // Three flows share node 0's link; the 11 B and 20 B ones leave
+        // first, then the 1 kB one runs alone.
+        for (dst, bytes, tag) in [(1, 1e3, 0), (2, 11.0, 1), (3, 20.0, 2)] {
+            assert!(net.start_flow(0, dst, bytes, tag));
+            assert!(want.start_flow(0, dst, bytes, tag));
+        }
+        assert_eq!(step_both(&mut net, &mut want).1, [1]);
+        assert_eq!(step_both(&mut net, &mut want).1, [2]);
+        let (t, done) = step_both(&mut net, &mut want);
+        assert!(done.is_empty());
+        let (left, rate) = (net.transfers.remaining[0], net.transfers.rate[0]);
+        assert!(left > 1e3 * 1e-9 && left < 1e-4, "{left} B left");
+        assert_eq!(rate, 6.25e7);
+        assert_eq!(t + left / rate, t, "completion rounds to the clock");
+        assert_eq!(step_both(&mut net, &mut want), (t, vec![0]));
+        assert!(net.is_idle());
+        assert_eq!(next_events(&mut net, &mut want), None);
+    }
+
     /// A small random platform for the engine parity suite: flat,
     /// hierarchical (grelon-like), star or bus; zero, uniform or mixed
     /// latencies (so some routes skip the latency phase); a TCP window that
@@ -725,14 +770,13 @@ mod tests {
         /// exactly, through to the drained network.
         #[test]
         fn net_sim_matches_the_reference_engine(seed in 0u64..u64::MAX) {
-            prop_assert!(!parity_script(seed), "both engines stalled");
+            parity_script(seed);
         }
     }
 
     // The same parity property at 20,000 cases, for a release run:
-    // `cargo test --release -p rats-simnet --lib -- --ignored`. About one
-    // script in 700 ends with both engines stalled (see `parity_script`);
-    // parity is checked up to the stall.
+    // `cargo test --release -p rats-simnet --lib -- --ignored`. Every
+    // script must drain without a stall (see `parity_script`).
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(20_000))]
 
@@ -744,9 +788,13 @@ mod tests {
     }
 
     /// Runs one random engine script (see
-    /// `net_sim_matches_the_reference_engine`); returns whether both
-    /// engines stalled in the drain instead of going idle.
-    fn parity_script(seed: u64) -> bool {
+    /// `net_sim_matches_the_reference_engine`) and drains it to an idle
+    /// network.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engines diverge, or if they stall in the drain.
+    fn parity_script(seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let platform = parity_platform(&mut rng);
         let n = platform.num_procs();
@@ -777,12 +825,8 @@ mod tests {
                 }
             }
         }
-        // Drain, unless both engines stall. A transfer whose time to
-        // completion is below half an ulp of the clock has its next event
-        // at the current time, and advancing there moves no byte: two
-        // advances in a row to the current time that complete nothing
-        // leave a state no later call changes. Both engines share this
-        // fault of the model.
+        // Drain. Two advances in a row to the current time that complete
+        // nothing leave a state no later call changes: a stall.
         let mut idle_advances = 0;
         while let Some(t) = next_events(&mut net, &mut want) {
             let now = net.time();
@@ -792,11 +836,11 @@ mod tests {
             } else {
                 0
             };
-            if idle_advances == 2 {
-                return true;
-            }
+            assert!(
+                idle_advances < 2,
+                "seed {seed}: both engines stalled at {t}"
+            );
         }
         assert!(net.is_idle());
-        false
     }
 }

@@ -167,7 +167,9 @@ impl<'p> NetSim<'p> {
                 }
             }
         }
-        // Phase transitions due at t.
+        // Phase transitions due at t. When time did not move, a transfer
+        // whose completion rounds to the clock is done: `next_event`
+        // returned `t` for it, and no advance to `t` could move a byte.
         completed.clear();
         let eps_t = 1e-12 + t.abs() * 1e-12;
         let dirty = &mut self.dirty;
@@ -177,7 +179,9 @@ impl<'p> NetSim<'p> {
                 *dirty = true;
                 true
             }
-            Phase::Transfer if f.remaining <= f.size * 1e-9 => {
+            Phase::Transfer
+                if f.remaining <= f.size * 1e-9 || (dt == 0.0 && t + f.remaining / f.rate == t) =>
+            {
                 *dirty = true;
                 completed.push(f.tag);
                 false
