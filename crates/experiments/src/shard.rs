@@ -308,8 +308,8 @@ pub fn run_shard_hooked(
             // record can have landed yet, so start the shard over instead
             // of wedging every future resume on the corrupt line 1.
             Err(ShardError::Corrupt { line: 1, .. })
-                if fs::read_to_string(&path)
-                    .map(|text| text.lines().count() <= 1)
+                if fs::read(&path)
+                    .map(|bytes| String::from_utf8_lossy(&bytes).lines().count() <= 1)
                     .unwrap_or(false) =>
             {
                 None
@@ -438,9 +438,17 @@ pub struct ShardFile {
 /// line that parses but is not yet committed — accepting it would make the
 /// next append glue two records onto one line.
 pub fn read_shard_file(path: &Path) -> Result<ShardFile, ShardError> {
-    let text = fs::read_to_string(path).map_err(|e| ShardError::Io(format!("{path:?}: {e}")))?;
-    let terminated = text.ends_with('\n');
-    let lines: Vec<&str> = text.lines().collect();
+    let bytes = fs::read(path).map_err(|e| ShardError::Io(format!("{path:?}: {e}")))?;
+    let terminated = bytes.ends_with(b"\n");
+    // Lines as `str::lines` splits them, but still bytes: a damaged line
+    // that is not UTF-8 is a corrupt line, not an unreadable file.
+    let mut lines: Vec<&[u8]> = bytes
+        .split(|&b| b == b'\n')
+        .map(|l| l.strip_suffix(b"\r").unwrap_or(l))
+        .collect();
+    if terminated || bytes.is_empty() {
+        lines.pop();
+    }
     let corrupt = |line: usize, message: String| ShardError::Corrupt {
         path: path.to_path_buf(),
         line,
@@ -452,8 +460,10 @@ pub fn read_shard_file(path: &Path) -> Result<ShardFile, ShardError> {
     if lines.len() == 1 && !terminated {
         return Err(corrupt(1, "unterminated manifest line".into()));
     }
-    let manifest: ShardManifest =
-        serde_json::from_str(first).map_err(|e| corrupt(1, e.to_string()))?;
+    let manifest: ShardManifest = std::str::from_utf8(first)
+        .map_err(|e| e.to_string())
+        .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()))
+        .map_err(|e| corrupt(1, e))?;
     if manifest.spec.spec_hash() != manifest.spec_hash {
         return Err(corrupt(
             1,
@@ -473,10 +483,13 @@ pub fn read_shard_file(path: &Path) -> Result<ShardFile, ShardError> {
             truncated_tail = true;
             continue;
         }
-        match RunRecord::from_jsonl(line) {
+        let record = std::str::from_utf8(line)
+            .map_err(|e| e.to_string())
+            .and_then(|text| RunRecord::from_jsonl(text).map_err(|e| e.to_string()));
+        match record {
             Ok(r) => records.push(r),
             Err(_) if is_final => truncated_tail = true,
-            Err(e) => return Err(corrupt(i + 1, e.to_string())),
+            Err(e) => return Err(corrupt(i + 1, e)),
         }
     }
     Ok(ShardFile {

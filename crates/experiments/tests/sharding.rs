@@ -1,13 +1,17 @@
 //! Sharded execution is provably equivalent to the in-process path:
 //! `merge(shards 0..n)` reproduces the single-process `AlgoResults` (and
 //! tuning tables) bit for bit, for n ∈ {1, 2, 3}, including after a
-//! crash-resume; mixed seeds are rejected.
+//! crash-resume; mixed seeds are rejected; a damaged record line reads as
+//! corrupt or as a dropped tail, never as a panic.
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
+use proptest::prelude::*;
 use rats_experiments::grid::ShardSpec;
-use rats_experiments::shard::{merge_shards, read_shard_file, run_shard, MergeError};
+use rats_experiments::record::RunRecord;
+use rats_experiments::shard::{merge_shards, read_shard_file, run_shard, MergeError, ShardError};
 use rats_experiments::spec::{ExperimentSpec, SpecOutcome, SuiteSpec};
 use rats_experiments::tuning;
 
@@ -267,7 +271,8 @@ fn crash_before_manifest_commit_recovers() {
     let mut shard0 = spec.clone();
     shard0.shard = Some(ShardSpec::new(0, 2));
 
-    for wreck in ["", "{\"kind\":\"mani"] {
+    // The last wreck ends inside a two-byte UTF-8 character.
+    for wreck in [&b""[..], b"{\"kind\":\"mani", b"{\"name\":\"caf\xc3"] {
         let path = dir.join("premanifest-shard-0-of-2.jsonl");
         fs::write(&path, wreck).unwrap();
         let run = run_shard(&shard0, &dir, None).unwrap();
@@ -464,4 +469,61 @@ fn supplied_population_is_validated() {
         "no shard file written"
     );
     fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A committed mini-run shard file: its bytes and its parsed records.
+fn fuzz_seed_file() -> &'static (Vec<u8>, Vec<RunRecord>) {
+    static FILE: OnceLock<(Vec<u8>, Vec<RunRecord>)> = OnceLock::new();
+    FILE.get_or_init(|| {
+        let dir = temp_dir("fuzz-seed");
+        let run = run_shard(&mini_spec("fuzz", 5), &dir, None).unwrap();
+        let bytes = fs::read(&run.path).unwrap();
+        let records = read_shard_file(&run.path).unwrap().records;
+        let _ = fs::remove_dir_all(&dir);
+        (bytes, records)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    /// Record lines truncated or with one byte flipped (any value, so
+    /// invalid UTF-8 and stray newlines too) read as `Ok` or
+    /// `Err(Corrupt)` — never a panic or an I/O error. A truncation inside
+    /// a line is a crash mid-append: the prefix reads back whole, with
+    /// `truncated_tail` set.
+    #[test]
+    fn damaged_record_lines_read_as_ok_or_corrupt(
+        line in 1usize..28,
+        at in 0.0f64..1.0,
+        flip in 0u32..256,
+    ) {
+        let (bytes, records) = fuzz_seed_file();
+        prop_assert_eq!(records.len(), 27);
+        let starts: Vec<usize> = std::iter::once(0)
+            .chain(bytes.iter().enumerate().filter(|(_, &b)| b == b'\n').map(|(i, _)| i + 1))
+            .collect();
+        let (start, len) = (starts[line], starts[line + 1] - 1 - starts[line]);
+        let k = start + (at * len as f64) as usize;
+        let mut damaged = bytes.clone();
+        if flip == 0 {
+            damaged.truncate(k);
+        } else {
+            damaged[k] ^= flip as u8;
+        }
+        let dir = std::env::temp_dir().join(format!("rats-sharding-fuzz-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("damaged.jsonl");
+        fs::write(&path, &damaged).unwrap();
+        match read_shard_file(&path) {
+            Ok(file) if flip == 0 => {
+                prop_assert_eq!(&file.records, &records[..line - 1]);
+                prop_assert_eq!(file.truncated_tail, k > start);
+            }
+            Ok(_) => {}
+            Err(ShardError::Corrupt { line: bad, .. }) => prop_assert!(flip != 0 && bad >= 2),
+            Err(e) => panic!("line {line} byte {k} flip {flip:#x}: {e}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

@@ -51,9 +51,10 @@
 //!     run the campaign in-process with phase timing enabled and print,
 //!     after the report, a per-phase profile: scheduling/shard histograms
 //!     (count, total, mean, occupied buckets) and every engine counter
-//!     (estimator calls and prunes, memo and redistribution cache hit
-//!     rates, the share of max-min rounds resumed, the network's flows
-//!     per event, argmin-tree updates).
+//!     (estimator calls and prunes, the redistribution cache hit rate,
+//!     the share of max-min rounds resumed, the share of jobs that took
+//!     an identical schedule's simulation, the network's flows per event,
+//!     argmin-tree updates).
 //!
 //! campaign status <ROOT> [--stale-ms MS] [--json]
 //!     read-only scan of a dispatched campaign's queue directory: per-job
@@ -650,15 +651,19 @@ fn render_profile(wall_seconds: f64) -> String {
             rats_sim::telemetry::FLOW_STEPS.get() as f64 / events as f64
         )
     };
+    // Every job counts as a record; a shared one did not simulate.
+    let jobs = rats_experiments::telemetry::RECORDS.get();
+    let shared = rats_sim::telemetry::SHARED.get().min(jobs);
     writeln!(
         out,
         "\nhit rates: redistribution cache {}, max-min rounds resumed {}, \
-         flows per event {flows_per_event}",
+         simulations shared {}, flows per event {flows_per_event}",
         rate(
             rats_sched::telemetry::REDIST_HITS.get(),
             rats_sched::telemetry::REDIST_MISSES.get()
         ),
         rate(resumed, rounds - resumed),
+        rate(shared, jobs - shared),
     )
     .unwrap();
     out

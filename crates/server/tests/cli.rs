@@ -144,6 +144,7 @@ fn profile_and_metrics_out_through_the_binary() {
         "rats_sim_maxmin_solves_total",
         "rats_sim_flow_steps_total",
         "hit rates:",
+        "simulations shared",
         "flows per event",
     ] {
         assert!(stdout.contains(needle), "missing `{needle}`:\n{stdout}");

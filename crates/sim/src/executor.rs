@@ -557,6 +557,38 @@ mod tests {
         assert_eq!(a.task_start, b.task_start);
     }
 
+    /// `simulate` reads each entry's processor set and the schedule's
+    /// order, never the mapper's estimates: the campaign loop shares one
+    /// simulation between jobs whose schedules agree on those alone.
+    #[test]
+    fn estimates_do_not_move_the_simulation() {
+        let p = grillon();
+        let dag = fft_dag(8, &CostParams::paper(), 13);
+        let sched = Scheduler::new(&p)
+            .strategy(MappingStrategy::rats_time_cost(0.5, true))
+            .schedule(&dag);
+        let mut moved = sched.clone();
+        for (i, e) in moved.entries.iter_mut().enumerate() {
+            e.est_start = 1e6 - i as f64;
+            e.est_finish = -e.est_finish - 1.0;
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (a, b) = (simulate(&dag, &sched, &p), simulate(&dag, &moved, &p));
+        assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
+        assert_eq!(a.total_work.to_bits(), b.total_work.to_bits());
+        assert_eq!(a.network_bytes.to_bits(), b.network_bytes.to_bits());
+        assert_eq!(a.self_bytes.to_bits(), b.self_bytes.to_bits());
+        assert_eq!(bits(&a.task_start), bits(&b.task_start));
+        assert_eq!(bits(&a.task_finish), bits(&b.task_finish));
+        let edges = |o: &SimOutcome| {
+            o.edge_stats
+                .iter()
+                .flat_map(|s| [s.start, s.finish, s.network_bytes])
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&edges(&a)), bits(&edges(&b)));
+    }
+
     #[test]
     fn contention_makes_simulation_slower_than_estimate() {
         // On graphs with parallel transfers, the simulated makespan should

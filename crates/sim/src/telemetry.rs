@@ -1,6 +1,7 @@
-//! Simulator metrics: wall time per [`simulate`](crate::simulate) call and
+//! Simulator metrics: wall time per [`simulate`](crate::simulate) call,
 //! work counters (events, max-min solves, filling rounds, rounds resumed
-//! from the previous solve, flows solved, transfer steps).
+//! from the previous solve, flows solved, transfer steps) and the campaign
+//! jobs that shared another job's simulation.
 //!
 //! Everything is observational: the simulator never reads a metric back,
 //! and the golden digest holds with telemetry enabled. The event loop does
@@ -53,6 +54,12 @@ pub static FLOW_STEPS: Counter = Counter::new(
     "Transferring flows the network's advances walked (each progressed and tested for completion); divided by rats_sim_events_total, the flows per event.",
 );
 
+/// Simulations shared between jobs.
+pub static SHARED: Counter = Counter::new(
+    "rats_sim_shared_total",
+    "Campaign jobs that took the outcome of an identical schedule simulated earlier for the same cluster and scenario instead of simulating (not counted in rats_sim_simulate_seconds).",
+);
+
 /// Every metric this crate exports, for registry registration.
 pub static METRICS: &[Metric] = &[
     Metric::Histogram(&SIMULATE_SECONDS),
@@ -62,6 +69,7 @@ pub static METRICS: &[Metric] = &[
     Metric::Counter(&ROUNDS_RESUMED),
     Metric::Counter(&FLOWS),
     Metric::Counter(&FLOW_STEPS),
+    Metric::Counter(&SHARED),
 ];
 
 /// Publishes one `simulate` call's tally into the global counters.
