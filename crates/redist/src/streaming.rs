@@ -17,6 +17,17 @@
 //! then immutable, so a cached arrival never goes stale, and every
 //! consumer edge of that producer shares the same entries.
 //!
+//! # One processor to one processor
+//!
+//! Most arrivals the mapping engine asks for move data from one processor
+//! to one processor. There the block walk reduces to a single transfer of
+//! the whole payload (the 1×1 case of the block-boundary schedule), so
+//! `RedistEstimator::one_to_one_cost` prices it in closed form from the
+//! cached pair route, with the very operations the walk would perform.
+//! Such arrivals are cheaper to recompute than to look up, so
+//! [`RedistCache::arrival`] answers them without touching its memo; every
+//! arrival with a wider source or destination set keeps the memo.
+//!
 //! [`redistribute`]: crate::matrix::redistribute
 //! [`estimate_time`]: crate::estimate::estimate_time
 
@@ -143,11 +154,12 @@ impl RedistEstimator {
             links[i] = l.index() as u32;
             min_bw = min_bw.min(platform.link(l).bandwidth_bps);
         }
+        let len = route.links().len();
         let entry = PairRoute {
             latency_s: route.latency_s,
             cap: min_bw.min(platform.flow_rate_cap(sp, dp)),
             links,
-            len: route.links().len() as u8,
+            len: len as u8,
             init: true,
         };
         self.pairs[idx] = entry;
@@ -170,7 +182,12 @@ impl RedistEstimator {
         dst: &ProcSet,
         platform: &Platform,
     ) -> f64 {
-        assert!(!src.is_empty() && !dst.is_empty(), "empty processor set");
+        self.walk(total_bytes, src.as_slice(), dst.as_slice(), platform)
+    }
+
+    /// The asserts every estimate starts with.
+    #[inline]
+    fn check_inputs(&self, total_bytes: f64, platform: &Platform) {
         assert!(
             total_bytes.is_finite() && total_bytes >= 0.0,
             "data size must be finite and non-negative, got {total_bytes}"
@@ -180,10 +197,17 @@ impl RedistEstimator {
                 && self.per_link.len() == platform.num_links(),
             "a RedistEstimator is bound to the platform it was built for"
         );
+    }
+
+    /// [`Self::estimate_cost`] over rank-ordered processor slices: the
+    /// block walk.
+    fn walk(&mut self, total_bytes: f64, src: &[u32], dst: &[u32], platform: &Platform) -> f64 {
+        assert!(!src.is_empty() && !dst.is_empty(), "empty processor set");
+        self.check_inputs(total_bytes, platform);
         if total_bytes == 0.0 {
             return 0.0;
         }
-        let (p, q) = (src.len(), dst.len());
+        let (p, q) = (src.len() as u32, dst.len() as u32);
         // Same sliver threshold as `redistribute` (fp boundary noise).
         let eps = total_bytes / f64::from(p.max(q)) * 1e-6;
         let mut any_transfer = false;
@@ -200,7 +224,7 @@ impl RedistEstimator {
                 if overlap <= eps {
                     continue;
                 }
-                let (sp, dp) = (src.proc_at(i as usize), dst.proc_at(j as usize));
+                let (sp, dp) = (src[i as usize], dst[j as usize]);
                 if sp == dp {
                     // Self communication is free and crosses no link.
                     continue;
@@ -236,6 +260,42 @@ impl RedistEstimator {
         self.touched.clear();
         max_latency + link_time.max(max_flow_time)
     }
+
+    /// `estimate_cost(total_bytes, {sp}, {dp}, platform)`, bit for bit, in
+    /// closed form.
+    ///
+    /// With one processor on each side the walk makes at most one
+    /// transfer, of the whole payload: zero bytes or the same processor
+    /// cost `0.0`, and otherwise every link of the route carries
+    /// `total_bytes` once. The closed form performs exactly the walk's
+    /// operations on that one transfer: the latency folded from `0.0`,
+    /// the link time folded from `0.0` with `max(bytes / bandwidth)` in
+    /// route order, and `latency + link_time.max(flow time)`. This relies on
+    /// the route crossing each link once, as every route of
+    /// [`Platform::route`] does (debug-asserted): the walk would charge a
+    /// link crossed twice the payload twice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `total_bytes` is negative or non-finite.
+    fn one_to_one_cost(&mut self, total_bytes: f64, sp: u32, dp: u32, platform: &Platform) -> f64 {
+        self.check_inputs(total_bytes, platform);
+        if total_bytes == 0.0 || sp == dp {
+            return 0.0;
+        }
+        let pair = self.pair(platform, sp, dp);
+        let links = &pair.links[..pair.len as usize];
+        debug_assert!(
+            (1..links.len()).all(|i| !links[..i].contains(&links[i])),
+            "a route crosses each link once"
+        );
+        let mut link_time = 0.0f64;
+        for &l in links {
+            let bw = platform.link(LinkId::from_index(l as usize)).bandwidth_bps;
+            link_time = link_time.max(total_bytes / bw);
+        }
+        0.0f64.max(pair.latency_s) + link_time.max(0.0f64.max(total_bytes / pair.cap))
+    }
 }
 
 /// One-shot streaming estimate (allocates a fresh scratch; use
@@ -255,6 +315,12 @@ pub fn estimate_cost(total_bytes: f64, src: &ProcSet, dst: &ProcSet, platform: &
 /// lets every consumer of the same producer share entries — and since task
 /// graphs commonly fan the same payload out to all children, sibling
 /// evaluations of the same candidate hit instead of recomputing.
+///
+/// Only arrivals with more than one processor on some side go through the
+/// memo. One processor to one processor is priced in closed form from the
+/// cached pair route, which costs less than a memo lookup, so those
+/// arrivals neither read nor fill it, and the hit and miss counts are memo
+/// traffic only.
 #[derive(Debug, Clone)]
 pub struct RedistCache {
     estimator: RedistEstimator,
@@ -276,27 +342,40 @@ impl RedistCache {
         }
     }
 
-    /// `(hits, misses)` of [`Self::arrival`] lookups so far.
+    /// `(hits, misses)` of the memo lookups of [`Self::arrival`] so far
+    /// (one-to-one arrivals skip the memo and count in neither).
     pub fn hit_stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 
     /// The time at which `total_bytes` sent by a producer that finishes at
-    /// `src_finish` on `src` become available on `dst`:
-    /// `src_finish + estimate_cost(total_bytes, src, dst, platform)`,
-    /// memoized per `(slot, total_bytes, dst)`.
+    /// `src_finish` on the rank-ordered processors `src` become available
+    /// on `dst`: `src_finish + estimate_cost(total_bytes, src, dst,
+    /// platform)`. One processor to one processor is computed in closed
+    /// form; every other arrival is memoized per `(slot, total_bytes,
+    /// dst)`.
     ///
     /// The caller guarantees that `src` and `src_finish` are the same on
     /// every call with the same `slot` (see the type docs).
+    ///
+    /// # Panics
+    ///
+    /// As [`RedistEstimator::estimate_cost`].
     pub fn arrival(
         &mut self,
         slot: usize,
         total_bytes: f64,
-        src: &ProcSet,
+        src: &[u32],
         src_finish: f64,
         dst: &ProcSet,
         platform: &Platform,
     ) -> f64 {
+        if let (&[sp], &[dp]) = (src, dst.as_slice()) {
+            return src_finish
+                + self
+                    .estimator
+                    .one_to_one_cost(total_bytes, sp, dp, platform);
+        }
         let bytes_bits = total_bytes.to_bits();
         if let Some((_, a)) = self.arrivals.get(slot, dst, |(b, _)| *b == bytes_bits) {
             self.hits += 1;
@@ -306,7 +385,7 @@ impl RedistCache {
         let arrival = src_finish
             + self
                 .estimator
-                .estimate_cost(total_bytes, src, dst, platform);
+                .walk(total_bytes, src, dst.as_slice(), platform);
         self.arrivals.insert(slot, dst, (bytes_bits, arrival));
         arrival
     }
@@ -410,17 +489,69 @@ mod tests {
         let d2 = ProcSet::from_range(8, 3);
         let mut cache = RedistCache::new(&p, 2);
         assert!(cache.is_empty());
-        let a = cache.arrival(0, 1e8, &src, 2.5, &d1, &p);
+        let a = cache.arrival(0, 1e8, src.as_slice(), 2.5, &d1, &p);
         assert_eq!(a, 2.5 + estimate_cost(1e8, &src, &d1, &p));
-        assert_eq!(cache.arrival(0, 1e8, &src, 2.5, &d1, &p), a);
+        assert_eq!(cache.arrival(0, 1e8, src.as_slice(), 2.5, &d1, &p), a);
         assert_eq!(cache.len(), 1, "repeat lookups must hit the memo");
-        let b = cache.arrival(1, 3e7, &d1, 4.0, &d2, &p);
+        let b = cache.arrival(1, 3e7, d1.as_slice(), 4.0, &d2, &p);
         assert_eq!(b, 4.0 + estimate_cost(3e7, &d1, &d2, &p));
         assert_eq!(cache.len(), 2);
         // Distinct payloads through the same producer slot stay distinct.
-        let c = cache.arrival(0, 2e8, &src, 2.5, &d1, &p);
+        let c = cache.arrival(0, 2e8, src.as_slice(), 2.5, &d1, &p);
         assert_eq!(c, 2.5 + estimate_cost(2e8, &src, &d1, &p));
-        assert_eq!(cache.arrival(0, 1e8, &src, 2.5, &d1, &p), a);
+        assert_eq!(cache.arrival(0, 1e8, src.as_slice(), 2.5, &d1, &p), a);
+        assert_eq!(cache.hit_stats(), (2, 3));
+    }
+
+    #[test]
+    fn one_to_one_arrivals_skip_the_memo() {
+        let p = Platform::from_spec(&ClusterSpec::grelon());
+        let mut cache = RedistCache::new(&p, 3);
+        // Same cabinet, across cabinets, and the same processor; then a
+        // one-member producer feeding a wider set, which keeps the memo.
+        for (slot, sp, dp) in [(0, 3u32, 7u32), (1, 5, 100), (2, 9, 9)] {
+            let (src, dst) = (ProcSet::from_slice(&[sp]), ProcSet::from_slice(&[dp]));
+            for bytes in [0.0, 1.0, 3e7, 2e9] {
+                let a = cache.arrival(slot, bytes, &[sp], 1.25, &dst, &p);
+                let expected = 1.25 + estimate_cost(bytes, &src, &dst, &p);
+                assert_eq!(a.to_bits(), expected.to_bits(), "{sp}->{dp}, {bytes} B");
+            }
+        }
+        assert!(
+            cache.is_empty(),
+            "one-to-one arrivals must not fill the memo"
+        );
+        assert_eq!(cache.hit_stats(), (0, 0), "nor count as memo traffic");
+        let wide = ProcSet::from_range(20, 3);
+        let a = cache.arrival(0, 3e7, &[3], 1.25, &wide, &p);
+        let expected = 1.25 + estimate_cost(3e7, &ProcSet::from_slice(&[3]), &wide, &p);
+        assert_eq!(a.to_bits(), expected.to_bits());
+        assert_eq!(cache.arrival(0, 3e7, &[3], 1.25, &wide, &p), a);
+        assert_eq!((cache.len(), cache.hit_stats()), (1, (1, 1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "data size must be finite and non-negative")]
+    fn one_to_one_rejects_negative_payloads() {
+        let p = grillon();
+        RedistEstimator::new(&p).one_to_one_cost(-1.0, 0, 1, &p);
+    }
+
+    /// The paper's three clusters and one generated platform of every
+    /// interconnect layout, with a slower shared resource than the node
+    /// links and latencies of their own.
+    fn one_to_one_platforms() -> Vec<Platform> {
+        use rats_workloads::{TopoKind, TopologyGenSpec};
+        let mut specs = ClusterSpec::paper_clusters();
+        for kind in TopoKind::ALL {
+            let mut gen = TopologyGenSpec::new(format!("gen-{}", kind.as_str()), kind);
+            gen.procs = vec![13];
+            gen.latency_us = 37.0;
+            gen.backbone_mbps = Some(60.0);
+            gen.backbone_latency_us = Some(250.0);
+            specs.extend(gen.generate());
+        }
+        specs.iter().map(Platform::from_spec).collect()
     }
 
     proptest! {
@@ -460,6 +591,46 @@ mod tests {
                 streamed <= bound,
                 "estimate {streamed} exceeds its upper bound {bound}"
             );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4000))]
+
+        /// The closed form is bit-identical to the block walk over
+        /// one-member sets, for zero, subnormal and 1 B to 1e15 B payloads,
+        /// on every interconnect layout, the same processor included.
+        #[test]
+        fn one_to_one_equals_the_block_walk(
+            total in prop_oneof![
+                Just(0.0f64),
+                (1u64..1 << 52).prop_map(f64::from_bits),
+                (0.0f64..15.0).prop_map(|e| 10f64.powf(e)),
+                (1u64..1 << 20).prop_map(|b| b as f64),
+            ],
+            procs in (0u32..1 << 16, 0u32..1 << 16, 0u32..4),
+            which in 0usize..7,
+        ) {
+            let platform = &one_to_one_platforms()[which];
+            let n = platform.num_procs();
+            let a = procs.0 % n;
+            // One case in four sends to the same processor.
+            let b = if procs.2 == 0 { a } else { procs.1 % n };
+            let walked = estimate_cost(
+                total,
+                &ProcSet::from_slice(&[a]),
+                &ProcSet::from_slice(&[b]),
+                platform,
+            );
+            let mut est = RedistEstimator::new(platform);
+            let closed = est.one_to_one_cost(total, a, b, platform);
+            prop_assert!(
+                closed.to_bits() == walked.to_bits(),
+                "{} {a}->{b}, {total:e} B: closed form {closed:e} != walk {walked:e}",
+                platform.name()
+            );
+            // Again from the cached pair route.
+            prop_assert_eq!(est.one_to_one_cost(total, a, b, platform).to_bits(), walked.to_bits());
         }
     }
 }

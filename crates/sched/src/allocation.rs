@@ -20,11 +20,17 @@
 //!   lowest predecessor position, precomputed once; a task whose bits do
 //!   not change extends nothing. Below the stop no task has a changed
 //!   successor, so its bits equal a full pass's without being touched.
+//! * **Flat successor arrays.** Set-up copies every task's successor ids
+//!   and per-edge `edge_cost(bytes)` into CSR arrays (`succ_start`,
+//!   `succ`, `cost`), in the graph's successor order, so a recomputation
+//!   reads two dense arrays instead of the edge records and calls no edge
+//!   cost closure. The cost of an edge is the same bits whenever it is
+//!   computed, so reading it from the array moves none.
 //!
 //! So after every step the bottom levels hold the bits a full pass would
 //! produce. `C∞` and the critical path (ties toward the lowest id, among
-//! entries and among successors) are read from them as
-//! [`rats_dag::critical_path_length`] and [`rats_dag::critical_path`]
+//! entries and among successors) are read from them and the flat arrays
+//! as [`rats_dag::critical_path_length`] and [`rats_dag::critical_path`]
 //! compute them, and `W` is a fresh task-order sum of per-task work. The
 //! returned [`Allocation`] is therefore bit-identical to the whole-pass
 //! loop retained as `reference_allocate` (`reference` feature), which the
@@ -246,10 +252,7 @@ pub fn allocate(dag: &TaskGraph, platform: &Platform, params: AllocParams) -> Al
 /// Bottom levels of the allocation's critical-path graph, kept equal to a
 /// full [`rats_dag::bottom_levels`] pass as task times change (the
 /// invariant is in the module docs).
-struct BottomLevels<'g, F> {
-    dag: &'g TaskGraph,
-    /// Edge cost by byte payload.
-    edge_cost: F,
+struct BottomLevels<'g> {
     /// The cached topological order, and each task's position in it.
     order: &'g [TaskId],
     pos: Vec<u32>,
@@ -259,12 +262,18 @@ struct BottomLevels<'g, F> {
     lowest_pred: Vec<u32>,
     /// Entry tasks, ascending.
     entries: Vec<TaskId>,
+    /// Successor lists in CSR form, in the graph's successor order: task
+    /// `i`'s out-edges are `succ_start[i]..succ_start[i + 1]`, each with
+    /// its successor id and its `edge_cost(bytes)`, computed once.
+    succ_start: Vec<u32>,
+    succ: Vec<u32>,
+    cost: Vec<f64>,
     bl: Vec<f64>,
 }
 
-impl<'g, F: Fn(f64) -> f64> BottomLevels<'g, F> {
+impl<'g> BottomLevels<'g> {
     /// One full pass in reverse topological order.
-    fn new(dag: &'g TaskGraph, times: &[f64], edge_cost: F) -> Self {
+    fn new(dag: &'g TaskGraph, times: &[f64], edge_cost: impl Fn(f64) -> f64) -> Self {
         let n = dag.num_tasks();
         let order = dag
             .topo_order_cached()
@@ -278,13 +287,25 @@ impl<'g, F: Fn(f64) -> f64> BottomLevels<'g, F> {
                 *low = (*low).min(p as u32);
             }
         }
+        let mut succ_start = Vec::with_capacity(n + 1);
+        let mut succ = Vec::with_capacity(dag.num_edges());
+        let mut cost = Vec::with_capacity(dag.num_edges());
+        succ_start.push(0);
+        for t in dag.task_ids() {
+            for a in dag.succs_flat(t) {
+                succ.push(a.task.index() as u32);
+                cost.push(edge_cost(a.bytes));
+            }
+            succ_start.push(succ.len() as u32);
+        }
         let mut levels = Self {
-            dag,
-            edge_cost,
             order,
             pos,
             lowest_pred,
             entries: dag.entries(),
+            succ_start,
+            succ,
+            cost,
             bl: vec![0.0; n],
         };
         for &t in order.iter().rev() {
@@ -294,13 +315,21 @@ impl<'g, F: Fn(f64) -> f64> BottomLevels<'g, F> {
         levels
     }
 
+    /// Task `i`'s out-edges: successor ids and edge costs.
+    #[inline]
+    fn out_edges(&self, i: usize) -> (&[u32], &[f64]) {
+        let (lo, hi) = (self.succ_start[i] as usize, self.succ_start[i + 1] as usize);
+        (&self.succ[lo..hi], &self.cost[lo..hi])
+    }
+
     /// Task `i`'s bottom level from its successors' current ones: the
     /// per-node formula of [`rats_dag::bottom_levels`], successors folded
     /// in the same order.
     fn level(&self, i: usize, times: &[f64]) -> f64 {
+        let (succ, cost) = self.out_edges(i);
         let mut tail: f64 = 0.0;
-        for a in self.dag.succs_flat(TaskId::from_index(i)) {
-            tail = tail.max((self.edge_cost)(a.bytes) + self.bl[a.task.index()]);
+        for (&s, &c) in succ.iter().zip(cost) {
+            tail = tail.max(c + self.bl[s as usize]);
         }
         times[i] + tail
     }
@@ -324,17 +353,17 @@ impl<'g, F: Fn(f64) -> f64> BottomLevels<'g, F> {
                 .then(b.index().cmp(&a.index()))
         });
         std::iter::successors(start, move |&cur| {
-            self.dag
-                .succs_flat(cur)
-                .iter()
-                .max_by(|a, b| {
-                    let wa = (self.edge_cost)(a.bytes) + self.bl[a.task.index()];
-                    let wb = (self.edge_cost)(b.bytes) + self.bl[b.task.index()];
+            let (succ, cost) = self.out_edges(cur.index());
+            succ.iter()
+                .zip(cost)
+                .max_by(|(&a, &ca), (&b, &cb)| {
+                    let wa = ca + self.bl[a as usize];
+                    let wb = cb + self.bl[b as usize];
                     wa.partial_cmp(&wb)
                         .expect("path weights are finite")
-                        .then(b.task.index().cmp(&a.task.index()))
+                        .then(b.cmp(&a))
                 })
-                .map(|a| a.task)
+                .map(|(&s, _)| TaskId::from_index(s as usize))
         })
     }
 

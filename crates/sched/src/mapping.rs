@@ -24,12 +24,14 @@
 //!   full-graph O(n²) re-scan; the round batch and sort-key buffers are
 //!   reused across rounds ([`Scratch`]);
 //! * **estimates** — redistribution times come from the streaming
-//!   [`rats_redist::RedistCache`]: no transfer matrix is materialized, and
-//!   arrival times are memoized per (producer entry, payload,
-//!   candidate-set) — sound because a placed producer's set and finish time
-//!   are immutable. Every estimate, whatever the policy or the DAG size,
-//!   takes the one path below: per-task bound scalars, the sorted per-task
-//!   bound arena, then the early-stopping arrival walk;
+//!   [`rats_redist::RedistCache`]: no transfer matrix is materialized;
+//!   one-processor-to-one-processor arrivals (most of them) are priced in
+//!   closed form, and wider ones are memoized per (producer entry,
+//!   payload, candidate-set) — sound because a placed producer's set and
+//!   finish time are immutable. Every estimate, whatever the policy or the
+//!   DAG size, takes the one path below: per-task bound scalars, the
+//!   sorted per-task bound arena of the items the walk can read, then the
+//!   early-stopping arrival walk;
 //! * **bound pruning** — `data_ready` is a max over predecessor arrivals,
 //!   and `f64::max` over non-negative values is exact, so sound
 //!   upper/lower bounds prune most exact evaluations bit-identically:
@@ -269,8 +271,8 @@ const UNBUILT_SCALARS: BoundScalars = BoundScalars {
 /// Everything here is sound for one reason: every predecessor of a ready
 /// task is placed, and placed entries are immutable.
 struct MapCache {
-    /// Streaming redistribution estimates, memoized per (producer entry,
-    /// payload, candidate).
+    /// Streaming redistribution estimates: one-to-one arrivals in closed
+    /// form, the rest memoized per (producer entry, payload, candidate).
     redist: RedistCache,
     /// Per-task CSR range (`bstart`, `blen`) into the `bitems` arena —
     /// built later and more rarely than the scalars, on the first estimate
@@ -280,9 +282,11 @@ struct MapCache {
     blen: Vec<u32>,
     /// `(arrival bound, pred, payload bytes)` triples of all built tasks,
     /// descending by bound per task, bump-appended back to back (capacity =
-    /// edge count, so steady-state fills never reallocate). Walking a
-    /// task's range in order allows breaking at the first bound that cannot
-    /// beat the running max — every later one is smaller still.
+    /// edge count, so steady-state fills never reallocate). Only bounds
+    /// above the task's latest predecessor finish are kept: the walk never
+    /// reads the others. Walking a task's range in order allows breaking at
+    /// the first bound that cannot beat the running max — every later one
+    /// is smaller still.
     bitems: Vec<(f64, u32, f64)>,
 }
 
@@ -560,8 +564,13 @@ impl<'a> Mapper<'a> {
 
     /// The task's CSR bound-item range, built on the first estimate the
     /// scalar bound does not short-circuit: one predecessor pass bump-fills
-    /// the arena, then the range is sorted descending by arrival bound.
-    fn bound_items(&self, cache: &mut MapCache, t: TaskId) -> (u32, u32) {
+    /// the arena with the items the arrival walk can read, then the range
+    /// is sorted descending by arrival bound.
+    ///
+    /// The walk starts at `finish_max` and stops at the first bound it
+    /// dominates, so an item whose bound does not exceed `finish_max` is
+    /// never read: such items are not pushed at all.
+    fn bound_items(&self, cache: &mut MapCache, t: TaskId, finish_max: f64) -> (u32, u32) {
         let start = cache.bstart[t.index()];
         if start != UNBUILT {
             return (start, cache.blen[t.index()]);
@@ -569,7 +578,9 @@ impl<'a> Mapper<'a> {
         let start = cache.bitems.len();
         for a in self.dag.preds_flat(t) {
             let bound = self.tasks.finish[a.task.index()] + cache.redist.cost_upper_bound(a.bytes);
-            cache.bitems.push((bound, a.task.index() as u32, a.bytes));
+            if bound > finish_max {
+                cache.bitems.push((bound, a.task.index() as u32, a.bytes));
+            }
         }
         // Tiny ranges are the common case; a handwritten swap beats the
         // general small-sort machinery there.
@@ -590,16 +601,22 @@ impl<'a> Mapper<'a> {
     }
 
     /// The time every input of `t` has arrived on the candidate set `procs`
-    /// (contention-free streaming estimates; each arrival is memoized in the
-    /// [`RedistCache`]).
+    /// (contention-free streaming estimates through the [`RedistCache`]).
     ///
     /// `data_ready` is a **max** over predecessor arrivals, and `f64::max`
     /// over non-negative values is exact — so predecessors whose *sound
     /// upper bound* (finish + [`RedistCache::cost_upper_bound`]) cannot
     /// exceed the running max contribute nothing, bit-identically. The
     /// bounds are candidate-independent, so they are computed and sorted
-    /// descending once per task; each evaluation walks them in order and
-    /// stops at the first bound the running max already dominates.
+    /// descending once per task, keeping only those above the latest
+    /// predecessor finish (see [`Self::bound_items`]); each evaluation
+    /// walks them in order and stops at the first bound the running max
+    /// already dominates.
+    ///
+    /// A producer on one processor hands its `placed_first` to the cache
+    /// as a one-member slice, so no source set is built; on a one-member
+    /// candidate its arrival is the cache's closed form, which also prices
+    /// the same processor at exactly zero (`finish + 0.0` is `finish`).
     fn data_ready(
         &self,
         cache: &mut MapCache,
@@ -607,7 +624,7 @@ impl<'a> Mapper<'a> {
         procs: &ProcSet,
         sc: BoundScalars,
     ) -> f64 {
-        let (start, len) = self.bound_items(cache, t);
+        let (start, len) = self.bound_items(cache, t, sc.finish_max);
         let MapCache { redist, bitems, .. } = cache;
         // Seeding the running max with the latest predecessor finish only
         // removes evaluations whose arrival could not have raised the max —
@@ -617,34 +634,26 @@ impl<'a> Mapper<'a> {
             if bound <= ready {
                 break; // every later bound is smaller still
             }
-            // Singleton producers — the common case — are reconstructed
-            // from the dense columns; only wider sets load the entry.
-            let arrival = if self.tasks.alloc[pred as usize] == 1 {
-                let first = self.tasks.placed_first[pred as usize];
-                if procs.len() == 1 && procs.as_slice()[0] == first {
-                    // Same single processor: pure self-communication, which
-                    // the estimator prices at exactly zero — the arrival is
-                    // the producer's finish.
-                    self.tasks.finish[pred as usize]
-                } else {
-                    let src = ProcSet::from_slice(&[first]);
-                    redist.arrival(
-                        pred as usize,
-                        bytes,
-                        &src,
-                        self.tasks.finish[pred as usize],
-                        procs,
-                        self.platform,
-                    )
-                }
+            let pred = pred as usize;
+            // Singleton producers — the common case — are read from the
+            // dense columns; only wider sets load the entry.
+            let arrival = if self.tasks.alloc[pred] == 1 {
+                redist.arrival(
+                    pred,
+                    bytes,
+                    std::slice::from_ref(&self.tasks.placed_first[pred]),
+                    self.tasks.finish[pred],
+                    procs,
+                    self.platform,
+                )
             } else {
-                let pe = self.tasks.entries[pred as usize]
+                let pe = self.tasks.entries[pred]
                     .as_ref()
                     .expect("predecessors are mapped before their successors");
                 redist.arrival(
-                    pred as usize,
+                    pred,
                     bytes,
-                    &pe.procs,
+                    pe.procs.as_slice(),
                     pe.est_finish,
                     procs,
                     self.platform,

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use rats_dag::TaskGraph;
 use rats_daggen::suite::mini_suite;
-use rats_daggen::{fft_dag, irregular_dag, layered_dag, strassen_dag, DagParams};
+use rats_daggen::{fft_dag, irregular_dag, layered_dag, scenario_seed, strassen_dag, DagParams};
 use rats_model::CostParams;
 use rats_platform::{ClusterSpec, Platform};
 
@@ -201,6 +201,35 @@ fn default_scheduler_prunes_parent_aware_candidates_with_bound_scalars() {
         &scheduler.schedule(&dag),
         &scheduler.reference_schedule(&dag),
     );
+}
+
+#[test]
+fn large_dag_sweep_parity() {
+    // The irregular n=2000 DAG of the large-DAG sweep's first DAG set, on
+    // grillon: the scale where the closed-form one-to-one arrivals and the
+    // bound arena filter act on most estimates.
+    let params = DagParams {
+        n: 2000,
+        width: 0.5,
+        regularity: 0.5,
+        density: 0.5,
+        jump: 2,
+    };
+    let dag = irregular_dag(&params, &CostParams::paper(), scenario_seed(0x5eed_0000, 0));
+    let platform = Platform::from_spec(&ClusterSpec::grillon());
+    let alloc = allocate(&dag, &platform, AllocParams::default());
+    for strategy in [
+        MappingStrategy::Hcpa,
+        MappingStrategy::rats_delta(0.5, 0.5),
+        MappingStrategy::rats_time_cost(0.5, true),
+    ] {
+        let scheduler = Scheduler::new(&platform).strategy(strategy);
+        assert_identical(
+            &format!("large-dag/{}", strategy.name()),
+            &scheduler.schedule_with_allocation(&dag, &alloc),
+            &scheduler.reference_schedule_with_allocation(&dag, &alloc),
+        );
+    }
 }
 
 proptest! {

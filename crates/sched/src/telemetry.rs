@@ -73,16 +73,17 @@ pub static ESTIMATES_PRUNED: Counter = Counter::new(
     "Candidate estimates skipped by sound finish lower bounds or duplicate-set detection.",
 );
 
-/// Redistribution cache hits.
+/// Redistribution memo hits (one-to-one arrivals skip the memo and are
+/// counted in neither this nor [`REDIST_MISSES`]).
 pub static REDIST_HITS: Counter = Counter::new(
     "rats_mapping_redist_cache_hits_total",
-    "Redistribution arrival estimates answered from the streaming RedistCache.",
+    "Redistribution arrivals with more than one processor on a side answered from the RedistCache memo (one-to-one arrivals skip the memo and are not counted).",
 );
 
-/// Redistribution cache misses.
+/// Redistribution memo misses.
 pub static REDIST_MISSES: Counter = Counter::new(
     "rats_mapping_redist_cache_misses_total",
-    "Redistribution arrival estimates computed by the streaming estimator.",
+    "Redistribution arrivals with more than one processor on a side computed by the block walk and memoized (one-to-one arrivals skip the memo and are not counted).",
 );
 
 /// Argmin tournament-tree updates.

@@ -51,7 +51,8 @@
 //!     run the campaign in-process with phase timing enabled and print,
 //!     after the report, a per-phase profile: scheduling/shard histograms
 //!     (count, total, mean, occupied buckets) and every engine counter
-//!     (estimator calls and prunes, the redistribution cache hit rate,
+//!     (estimator calls and prunes, the redistribution cache hit rate
+//!     over its memo lookups — one-to-one arrivals skip the memo —,
 //!     the share of max-min rounds resumed, the share of jobs that took
 //!     an identical schedule's simulation, the network's flows per event,
 //!     argmin-tree updates).
