@@ -42,9 +42,7 @@ pub fn ensure_cache(
     }
     let scenarios = population.map_or_else(|| Cow::Owned(spec.scenarios()), Cow::Borrowed);
     let text = write_population(&scenarios, spec.seed, &spec.suite.name());
-    let tmp = root.join(format!("{CACHE_FILE}.tmp-{}", std::process::id()));
-    fs::write(&tmp, &text)?;
-    fs::rename(&tmp, root.join(CACHE_FILE))?;
+    rats_journal::log::write_atomic(&root.join(CACHE_FILE), text.as_bytes())?;
     Ok(true)
 }
 

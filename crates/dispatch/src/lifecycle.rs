@@ -11,10 +11,10 @@ use std::time::Duration;
 use rats_daggen::suite::Scenario;
 use rats_experiments::record::RunRecord;
 use rats_experiments::shard::{
-    merge_shard_files, read_shard_file, run_shard_hooked, shard_file_name, ShardHooks, ShardRun,
+    merge_shard_files, parse_shard_file, run_shard_hooked, shard_file_name, ShardHooks, ShardRun,
 };
 use rats_experiments::spec::{ExperimentSpec, SpecOutcome};
-use rats_journal::{Event, Journal};
+use rats_journal::{log, Event, Journal};
 
 use crate::dispatcher::collect_shard_files_recursive;
 use crate::queue::{Lease, WorkQueue};
@@ -35,9 +35,10 @@ pub fn prepare_root(
     population: Option<&[Scenario]>,
 ) -> Result<(WorkQueue, bool), DispatchError> {
     fs::create_dir_all(root.join(SHARDS_DIR))?;
-    let tmp = root.join(format!("{SPEC_FILE}.tmp-{}", std::process::id()));
-    fs::write(&tmp, format!("{}\n", spec.to_json()))?;
-    fs::rename(&tmp, root.join(SPEC_FILE))?;
+    log::write_atomic(
+        &root.join(SPEC_FILE),
+        format!("{}\n", spec.to_json()).as_bytes(),
+    )?;
     let cache_written = crate::cache::ensure_cache(root, spec, population)?;
     Ok((WorkQueue::init(root, spec, shard_count)?, cache_written))
 }
@@ -188,36 +189,32 @@ fn adopt_partial_output(shard_spec: &ExperimentSpec, dir: &Path) -> Option<(Stri
     }
     let entries = fs::read_dir(dir.parent()?).ok()?;
     let expected_hash = shard_spec.spec_hash();
-    let mut best: Option<(usize, PathBuf)> = None;
+    let mut best: Option<(usize, PathBuf, Vec<u8>)> = None;
     for entry in entries.flatten() {
         let candidate = entry.path().join(&file_name);
         if entry.path() == dir {
             continue;
         }
-        let Ok(loaded) = read_shard_file(&candidate) else {
+        // The bytes read here are the bytes copied: a donor still
+        // appending cannot tear the copy (a torn *final* line is fine —
+        // the shard engine drops and re-runs it).
+        let Ok(bytes) = fs::read(&candidate) else {
+            continue;
+        };
+        let Ok(Some(loaded)) = parse_shard_file(&candidate, &bytes) else {
             continue;
         };
         let records = loaded.records.len();
         if loaded.manifest.spec_hash == expected_hash
             && loaded.manifest.shard == shard_spec.shard.unwrap_or_default()
-            && best.as_ref().is_none_or(|(n, _)| records > *n)
+            && best.as_ref().is_none_or(|(n, ..)| records > *n)
         {
-            best = Some((records, candidate));
+            best = Some((records, candidate, bytes));
         }
     }
-    let (records, source) = best?;
+    let (records, source, bytes) = best?;
     let donor = source.parent()?.file_name()?.to_string_lossy().into_owned();
-    // Copy through a temp file so our directory never holds a torn file,
-    // then re-validate the copy (the source may be mid-append; a torn
-    // *final* line is fine — the shard engine drops and re-runs it).
-    let tmp = dir.join(format!("{file_name}.adopt-tmp"));
-    let adopted = fs::copy(&source, &tmp).is_ok()
-        && read_shard_file(&tmp).is_ok()
-        && fs::rename(&tmp, &mine).is_ok();
-    if !adopted {
-        let _ = fs::remove_file(&tmp);
-        return None;
-    }
+    log::write_atomic(&mine, &bytes).ok()?;
     Some((donor, records))
 }
 
@@ -235,25 +232,17 @@ pub struct RootMerge {
 /// Merges every shard file under `root`, validating coverage, duplicates
 /// and spec identity, and reads each file once.
 ///
-/// A holder killed before its manifest committed can leave an empty or
-/// torn-line-1 shard file (only builds predating the atomic manifest write
-/// produce one, but garbage on a shared directory is forever). No record
-/// can live in such a file, so it is skipped rather than wedging the
-/// merge; coverage validation still catches any job that is missing.
+/// A pre-manifest wreck (a file whose manifest line never committed, see
+/// [`parse_shard_file`]) holds no record, so it is skipped rather than
+/// wedging the merge; coverage validation still catches any job that is
+/// missing.
 pub fn merge_root(root: &Path) -> Result<RootMerge, DispatchError> {
     let mut files = Vec::new();
     for path in collect_shard_files_recursive(&root.join(SHARDS_DIR))? {
-        match read_shard_file(&path) {
-            Ok(file) => files.push((path, file)),
-            Err(e) => {
-                let lines = fs::read_to_string(&path)
-                    .map(|t| t.lines().count())
-                    .unwrap_or(0);
-                if lines > 1 {
-                    return Err(e.into());
-                }
-                eprintln!("dispatch: skipping pre-manifest shard wreck {path:?} ({e})");
-            }
+        let bytes = fs::read(&path).map_err(|e| DispatchError::Io(format!("{path:?}: {e}")))?;
+        match parse_shard_file(&path, &bytes)? {
+            Some(file) => files.push((path, file)),
+            None => eprintln!("dispatch: skipping pre-manifest shard wreck {path:?}"),
         }
     }
     let shard_files = files.len();

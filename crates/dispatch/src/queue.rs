@@ -30,12 +30,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use rats_experiments::grid::ShardSpec;
 use rats_experiments::spec::ExperimentSpec;
-use rats_journal::JobView;
+use rats_journal::{log, JobView};
 use serde::{Deserialize, Serialize, Value};
 
 /// Name of the queue subdirectory under the campaign root.
@@ -165,10 +164,7 @@ impl Lease {
             return Ok(false);
         }
         self.beats += 1;
-        let tmp = self.path.with_extension(format!("tmp-{}", self.worker));
-        fs::write(&tmp, format!("{}\n", self.body()))
-            .map_err(|e| io_err("writing lease beat", e))?;
-        fs::rename(&tmp, &self.path).map_err(|e| io_err("publishing lease beat", e))?;
+        write_atomically(&self.path, &self.body())?;
         crate::telemetry::LEASE_RENEWALS.inc();
         Ok(true)
     }
@@ -283,7 +279,7 @@ impl WorkQueue {
             }
         } else {
             let body = serde_json::to_string(&meta).expect("queue meta always serializes");
-            write_atomically(&meta_path, &format!("{body}\n"))?;
+            write_atomically(&meta_path, &body)?;
         }
         let queue = Self {
             dir,
@@ -297,7 +293,7 @@ impl WorkQueue {
             let present = f.map(|f| f.todo || f.done || !f.claims.is_empty());
             if !present.unwrap_or(false) {
                 let path = queue.job_path(job, "todo");
-                write_atomically(&path, &format!("{}\n", queue.todo_body(job)))?;
+                write_atomically(&path, &queue.todo_body(job))?;
             }
         }
         Ok(queue)
@@ -505,7 +501,7 @@ impl WorkQueue {
             )));
         }
         let path = self.job_path(job, "todo");
-        write_atomically(&path, &format!("{}\n", self.todo_body(job)))?;
+        write_atomically(&path, &self.todo_body(job))?;
         crate::telemetry::RESEEDS.inc();
         Ok(())
     }
@@ -555,17 +551,12 @@ fn read_meta(path: &Path) -> Result<QueueMeta, QueueError> {
         .map_err(|e| QueueError::new(format!("corrupt queue meta {path:?}: {e}")))
 }
 
-/// Writes `content` to `path` through a sibling temp file + rename, so a
+/// Publishes a one-line queue file through [`log::write_atomic`], so a
 /// crash never leaves a torn file and concurrent writers of identical
 /// content are harmless.
-fn write_atomically(path: &Path, content: &str) -> Result<(), QueueError> {
-    let tmp = path.with_extension(format!("tmp-{}", std::process::id()));
-    let mut file = fs::File::create(&tmp).map_err(|e| io_err("creating temp file", e))?;
-    file.write_all(content.as_bytes())
-        .map_err(|e| io_err("writing temp file", e))?;
-    drop(file);
-    fs::rename(&tmp, path).map_err(|e| io_err("publishing file", e))?;
-    Ok(())
+fn write_atomically(path: &Path, line: &str) -> Result<(), QueueError> {
+    log::write_atomic(path, format!("{line}\n").as_bytes())
+        .map_err(|e| io_err("publishing file", e))
 }
 
 /// Parses `job-<i>-of-<n>.<state>` file names; ignores everything else
@@ -583,10 +574,10 @@ fn parse_job_file(name: &str, shard_count: usize) -> Option<(usize, JobState)> {
         "todo" => JobState::Todo,
         "done" => JobState::Done,
         other => {
-            // Temp files from atomic rewrites never reach here: they
-            // *replace* the extension (`job-i-of-n.tmp-<w>`), so they fail
-            // the `claim-` prefix. The dot guard keeps any other stray
-            // multi-extension leftovers from masquerading as claims.
+            // Temp files from atomic rewrites extend the file name
+            // (`job-i-of-n.claim-<w>.tmp-<pid>-<n>`); the dot guard keeps
+            // them, and any other multi-extension leftover, from
+            // masquerading as claims.
             let worker = other.strip_prefix("claim-")?;
             if worker.contains('.') {
                 return None;
@@ -649,6 +640,8 @@ mod tests {
         assert_eq!(parse_job_file("job-2-of-9.todo", 8), None);
         assert_eq!(parse_job_file("job-2-of-8.tmp-123", 8), None);
         assert_eq!(parse_job_file("job-2-of-8.claim-a.tmp-a", 8), None);
+        assert_eq!(parse_job_file("job-2-of-8.todo.tmp-123-0", 8), None);
+        assert_eq!(parse_job_file("job-2-of-8.claim-a.tmp-123-0", 8), None);
         assert_eq!(parse_job_file("meta.json", 8), None);
         assert_eq!(parse_job_file("job-9-of-8.todo", 8), None);
     }

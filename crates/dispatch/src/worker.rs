@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use rats_daggen::suite::Scenario;
 use rats_experiments::shard::{run_shard_hooked, shard_file_name, ShardHooks};
 use rats_experiments::spec::ExperimentSpec;
-use rats_journal::{Event, Journal};
+use rats_journal::{log, Event, Journal};
 
 use crate::lifecycle::{run_lease, LeaseHolder, BEAT_MS};
 use crate::queue::{Lease, WorkQueue};
@@ -234,27 +234,25 @@ pub(crate) fn inject_chaos(
     };
     match phase {
         ChaosPhase::Claim => {}
-        ChaosPhase::Manifest => {
-            // Run the real executor far enough to commit the manifest, then
-            // strip the records: the on-disk state is exactly "died between
-            // manifest write and first record".
+        ChaosPhase::Manifest | ChaosPhase::Partial => {
+            // Run the real executor to the end, then cut its file back to
+            // what a crash leaves: the manifest alone ("died between
+            // manifest write and first record"), or roughly half the
+            // records and a torn next line.
             run_shard_hooked(shard_spec, my_dir, Some(threads), hooks())?;
             let path = my_dir.join(shard_file_name(shard_spec));
-            let text = fs::read_to_string(&path)?;
-            let manifest_line = text.lines().next().unwrap_or_default();
-            fs::write(&path, format!("{manifest_line}\n"))?;
-        }
-        ChaosPhase::Partial => {
-            // Commit roughly half the records and tear the next line.
-            run_shard_hooked(shard_spec, my_dir, Some(threads), hooks())?;
-            let path = my_dir.join(shard_file_name(shard_spec));
-            let text = fs::read_to_string(&path)?;
-            let lines: Vec<&str> = text.lines().collect();
-            let keep = 1 + (lines.len() - 1) / 2;
-            let mut crashed = lines[..keep].join("\n");
-            crashed.push('\n');
-            if let Some(next) = lines.get(keep) {
-                crashed.push_str(&next[..next.len() / 2]);
+            let bytes = fs::read(&path)?;
+            let lines: Vec<&[u8]> = log::committed(&bytes).0.collect();
+            let partial = phase == ChaosPhase::Partial;
+            let keep = if partial {
+                1 + (lines.len() - 1) / 2
+            } else {
+                1
+            };
+            let mut crashed: Vec<u8> = lines[..keep].join(&b'\n');
+            crashed.push(b'\n');
+            if let Some(next) = lines.get(keep).filter(|_| partial) {
+                crashed.extend_from_slice(&next[..next.len() / 2]);
             }
             fs::write(&path, crashed)?;
         }

@@ -10,11 +10,16 @@
 //!   line 2…: one RunRecord per completed job, in job-id order
 //! ```
 //!
-//! The file is append-only: restarting a worker re-reads it, validates the
-//! manifest against the spec, skips every job already on disk and resumes
-//! with the rest — crash recovery needs no extra bookkeeping. A partially
-//! written trailing line (the signature of a crash mid-append) is dropped
-//! and re-executed.
+//! The file is a [`rats_journal::log`] line log, the format journal
+//! segments share: created with its manifest through a temp file and a
+//! rename, appended one write batch at a time, and read under one rule —
+//! a record counts once its trailing newline is on disk. Restarting a
+//! worker re-reads the file, validates the manifest against the spec,
+//! skips every job already on disk and resumes with the rest, so crash
+//! recovery needs no extra bookkeeping. An uncommitted tail, or a complete
+//! final line that does not parse, is dropped and its job re-executed. A
+//! file with no committed manifest (a worker killed while creating it)
+//! holds no record and is started over.
 //!
 //! [`merge_shards`] reads any set of shard files, refuses mixed seeds or
 //! mismatched spec hashes, verifies full grid coverage (no holes, no
@@ -25,11 +30,10 @@
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use rats_daggen::suite::Scenario;
-use rats_journal::{Event, Journal};
+use rats_journal::{log, Event, Journal};
 use rats_sched::Allocation;
 use serde::{Deserialize, Serialize, Value};
 
@@ -169,8 +173,8 @@ pub enum ShardError {
     Spec(SpecError),
     /// Filesystem failure.
     Io(String),
-    /// An existing shard file is unreadable (bad manifest or a corrupt
-    /// record line that is not the final one).
+    /// An existing shard file is unreadable (a bad or uncommitted
+    /// manifest, or a corrupt record line that is not the final one).
     Corrupt {
         /// Offending file.
         path: PathBuf,
@@ -301,72 +305,43 @@ pub fn run_shard_hooked(
     fs::create_dir_all(dir)?;
     let path = dir.join(shard_file_name(spec));
     let existing = if path.exists() {
-        match read_shard_file(&path) {
-            Ok(loaded) => Some(loaded),
-            // A crash between creating the file and committing the manifest
-            // line leaves an empty or single-unterminated-line file. No
-            // record can have landed yet, so start the shard over instead
-            // of wedging every future resume on the corrupt line 1.
-            Err(ShardError::Corrupt { line: 1, .. })
-                if fs::read(&path)
-                    .map(|bytes| String::from_utf8_lossy(&bytes).lines().count() <= 1)
-                    .unwrap_or(false) =>
-            {
-                None
-            }
-            Err(e) => return Err(e),
-        }
+        load_shard_file(&path)?
     } else {
         None
     };
     let mut done: HashSet<u64> = HashSet::new();
     if let Some(loaded) = existing {
-        if loaded.manifest.seed != manifest.seed {
-            return Err(ShardError::ManifestMismatch {
-                path,
-                message: format!(
-                    "seed {} on disk vs {} in the spec",
-                    loaded.manifest.seed, manifest.seed
-                ),
-            });
-        }
-        if loaded.manifest.spec_hash != manifest.spec_hash {
-            return Err(ShardError::ManifestMismatch {
-                path,
-                message: format!(
-                    "spec hash {} on disk vs {}",
-                    loaded.manifest.spec_hash, manifest.spec_hash
-                ),
-            });
-        }
-        if loaded.manifest.shard != shard {
-            return Err(ShardError::ManifestMismatch {
-                path,
-                message: format!("shard {} on disk vs {shard}", loaded.manifest.shard),
-            });
+        let on_disk = &loaded.manifest;
+        let mismatch = if on_disk.seed != manifest.seed {
+            Some(format!(
+                "seed {} on disk vs {} in the spec",
+                on_disk.seed, manifest.seed
+            ))
+        } else if on_disk.spec_hash != manifest.spec_hash {
+            Some(format!(
+                "spec hash {} on disk vs {}",
+                on_disk.spec_hash, manifest.spec_hash
+            ))
+        } else if on_disk.shard != shard {
+            Some(format!("shard {} on disk vs {shard}", on_disk.shard))
+        } else {
+            None
+        };
+        if let Some(message) = mismatch {
+            return Err(ShardError::ManifestMismatch { path, message });
         }
         if loaded.truncated_tail {
             // Drop the uncommitted line a crash left behind; its job re-runs.
-            rewrite_without_tail(&path, &loaded)?;
+            let records = loaded.records.iter().map(RunRecord::to_jsonl);
+            log::create(
+                &path,
+                std::iter::once(manifest_line(&loaded.manifest)).chain(records),
+            )?;
         }
         done.extend(loaded.records.iter().map(|r| r.job));
     } else {
-        // The manifest line lands via a temp file + rename, so no crash
-        // window can leave an empty or torn-line-1 shard file behind: a
-        // shard file either does not exist yet or starts with a complete
-        // manifest. (The truncated-single-line recovery above remains for
-        // files written by older builds.) The rename also truncates any
-        // pre-manifest wreck this resume just decided to restart.
-        let tmp = path.with_extension("jsonl.tmp");
-        {
-            let mut file = fs::File::create(&tmp)?;
-            writeln!(
-                file,
-                "{}",
-                serde_json::to_string(&manifest).expect("manifests always serialize")
-            )?;
-        }
-        fs::rename(&tmp, &path)?;
+        // A new file, or a pre-manifest wreck to start over.
+        log::create(&path, [manifest_line(&manifest)])?;
     }
 
     let grid = spec.grid();
@@ -387,10 +362,8 @@ pub fn run_shard_hooked(
     let mut file = fs::OpenOptions::new().append(true).open(&path)?;
     let mut executed = 0usize;
     let aborted = run_jobs(spec, &todo, threads, &mut hooks, |records| {
-        for record in records {
-            writeln!(file, "{}", record.to_jsonl())?;
-            executed += 1;
-        }
+        log::append(&mut file, records.iter().map(RunRecord::to_jsonl))?;
+        executed += records.len();
         Ok::<_, ShardError>(())
     })?;
     if !aborted {
@@ -423,47 +396,45 @@ pub fn run_shard_hooked(
 pub struct ShardFile {
     /// The manifest on line 1.
     pub manifest: ShardManifest,
-    /// Every well-formed record.
+    /// Every committed, well-formed record.
     pub records: Vec<RunRecord>,
-    /// Whether an unparseable **final** line was dropped (crash mid-append).
+    /// Whether an uncommitted tail, or a complete final line that does not
+    /// parse, was dropped (a crash mid-append).
     pub truncated_tail: bool,
 }
 
-/// Reads and validates one shard file. A corrupt **or unterminated** final
-/// line is tolerated (reported via [`ShardFile::truncated_tail`]);
-/// corruption anywhere else is an error.
-///
-/// A record only counts once its trailing newline hit the disk: the record
-/// bytes and the `\n` are separate writes, so a crash between them leaves a
-/// line that parses but is not yet committed — accepting it would make the
-/// next append glue two records onto one line.
+/// Reads and validates one shard file. An uncommitted tail or a corrupt
+/// final line is tolerated (reported via [`ShardFile::truncated_tail`]);
+/// corruption anywhere else is an error, and so is a file with no
+/// committed manifest line.
 pub fn read_shard_file(path: &Path) -> Result<ShardFile, ShardError> {
+    load_shard_file(path)?.ok_or_else(|| ShardError::Corrupt {
+        path: path.to_path_buf(),
+        line: 1,
+        message: "no committed manifest line".into(),
+    })
+}
+
+fn load_shard_file(path: &Path) -> Result<Option<ShardFile>, ShardError> {
     let bytes = fs::read(path).map_err(|e| ShardError::Io(format!("{path:?}: {e}")))?;
-    let terminated = bytes.ends_with(b"\n");
-    // Lines as `str::lines` splits them, but still bytes: a damaged line
-    // that is not UTF-8 is a corrupt line, not an unreadable file.
-    let mut lines: Vec<&[u8]> = bytes
-        .split(|&b| b == b'\n')
-        .map(|l| l.strip_suffix(b"\r").unwrap_or(l))
-        .collect();
-    if terminated || bytes.is_empty() {
-        lines.pop();
-    }
+    parse_shard_file(path, &bytes)
+}
+
+/// Parses the bytes of the shard file at `path` under the
+/// [`rats_journal::log`] rule, as [`read_shard_file`] does, but returns
+/// `Ok(None)` for a pre-manifest wreck: a file whose manifest line never
+/// committed, so no record can be in it.
+pub fn parse_shard_file(path: &Path, bytes: &[u8]) -> Result<Option<ShardFile>, ShardError> {
+    let Some(lines) = log::split(bytes) else {
+        return Ok(None);
+    };
     let corrupt = |line: usize, message: String| ShardError::Corrupt {
         path: path.to_path_buf(),
         line,
         message,
     };
-    let first = lines
-        .first()
-        .ok_or_else(|| corrupt(1, "empty shard file".into()))?;
-    if lines.len() == 1 && !terminated {
-        return Err(corrupt(1, "unterminated manifest line".into()));
-    }
-    let manifest: ShardManifest = std::str::from_utf8(first)
-        .map_err(|e| e.to_string())
-        .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()))
-        .map_err(|e| corrupt(1, e))?;
+    let manifest: ShardManifest =
+        parse_line(lines.header, serde_json::from_str).map_err(|e| corrupt(1, e))?;
     if manifest.spec.spec_hash() != manifest.spec_hash {
         return Err(corrupt(
             1,
@@ -474,49 +445,35 @@ pub fn read_shard_file(path: &Path) -> Result<ShardFile, ShardError> {
             ),
         ));
     }
-    let mut records = Vec::with_capacity(lines.len().saturating_sub(1));
-    let mut truncated_tail = false;
-    for (i, line) in lines.iter().enumerate().skip(1) {
-        let is_final = i + 1 == lines.len();
-        if is_final && !terminated {
-            // A crash mid-append leaves exactly one uncommitted final line.
-            truncated_tail = true;
-            continue;
-        }
-        let record = std::str::from_utf8(line)
-            .map_err(|e| e.to_string())
-            .and_then(|text| RunRecord::from_jsonl(text).map_err(|e| e.to_string()));
-        match record {
+    let mut records = Vec::with_capacity(lines.body.len());
+    let mut truncated_tail = lines.torn_tail;
+    for (i, line) in lines.body.iter().enumerate() {
+        let is_final = i + 1 == lines.body.len() && !lines.torn_tail;
+        match parse_line(line, RunRecord::from_jsonl) {
             Ok(r) => records.push(r),
             Err(_) if is_final => truncated_tail = true,
-            Err(e) => return Err(corrupt(i + 1, e)),
+            Err(e) => return Err(corrupt(i + 2, e)),
         }
     }
-    Ok(ShardFile {
+    Ok(Some(ShardFile {
         manifest,
         records,
         truncated_tail,
-    })
+    }))
 }
 
-/// Rewrites a shard file from its parsed good lines, dropping the partial
-/// tail. The rewrite goes through a temp file + rename so a second crash
-/// cannot corrupt the journal further.
-fn rewrite_without_tail(path: &Path, loaded: &ShardFile) -> Result<(), ShardError> {
-    let tmp = path.with_extension("jsonl.tmp");
-    {
-        let mut file = fs::File::create(&tmp)?;
-        writeln!(
-            file,
-            "{}",
-            serde_json::to_string(&loaded.manifest).expect("manifests always serialize")
-        )?;
-        for r in &loaded.records {
-            writeln!(file, "{}", r.to_jsonl())?;
-        }
-    }
-    fs::rename(&tmp, path)?;
-    Ok(())
+/// Parses one committed line. A damaged line that is not UTF-8 is a
+/// corrupt line, not an unreadable file.
+fn parse_line<T, E: fmt::Display>(
+    line: &[u8],
+    parse: impl FnOnce(&str) -> Result<T, E>,
+) -> Result<T, String> {
+    let text = std::str::from_utf8(line).map_err(|e| e.to_string())?;
+    parse(text).map_err(|e| e.to_string())
+}
+
+fn manifest_line(manifest: &ShardManifest) -> String {
+    serde_json::to_string(manifest).expect("manifests always serialize")
 }
 
 /// Errors from merging shard files.

@@ -27,9 +27,12 @@
 //! is byte-stable — JSON objects with sorted keys — so any byte flip,
 //! dropped line, or reordered pair of lines breaks the chain at a precise
 //! sequence number, which [`reader::read_segment`] reports as
-//! [`JournalError::ChainBroken`]. The only tolerated irregularity is a
-//! torn final line without a trailing newline (a writer killed
-//! mid-append), mirroring the shard-file convention.
+//! [`JournalError::ChainBroken`], including a byte that is not UTF-8.
+//! Segments share the shard files' crash rule ([`log`]): a line counts
+//! once its newline is on disk. Bytes after the last newline (a writer
+//! killed mid-append) are dropped as a torn tail, and a segment whose
+//! header never committed holds no event: [`reader::read_journal`] skips
+//! it and its writer starts it over.
 //!
 //! # Replay and diff
 //!
@@ -47,6 +50,7 @@
 
 pub mod diff;
 pub mod event;
+pub mod log;
 pub mod reader;
 pub mod replay;
 pub mod writer;

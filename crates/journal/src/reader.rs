@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use serde::Value;
 
 use crate::event::{Event, EventRecord};
-use crate::{fnv1a_hex, JournalError, JOURNAL_DIR};
+use crate::{fnv1a_hex, log, JournalError, JOURNAL_DIR};
 
 /// One writer's fully verified segment.
 #[derive(Debug, Clone)]
@@ -20,39 +20,44 @@ pub struct Segment {
     pub header: String,
     /// The verified records, in sequence order.
     pub records: Vec<EventRecord>,
-    /// Whether an unterminated final line (writer killed mid-append) was
-    /// dropped. Complete-but-corrupt lines are *never* tolerated — they
-    /// are tampering and fail with [`JournalError::ChainBroken`].
+    /// Whether bytes after the last newline (a writer killed mid-append)
+    /// were dropped. Complete-but-corrupt lines are *never* tolerated —
+    /// they are tampering and fail with [`JournalError::ChainBroken`].
     pub torn_tail: bool,
 }
 
-/// Reads one segment file and verifies its entire hash chain.
-///
-/// Verification per record, in order: the line must parse, `seq` must
-/// equal the record's position, `prev` must equal the predecessor's hash
-/// (the header's hash for seq 0), and `hash` must equal the FNV-1a 64 of
-/// the record's canonical preimage. The first violation is reported as
+/// Reads one segment file under the [`log`] rule and verifies its entire
+/// hash chain. Per committed record, in order: the line must parse, `seq`
+/// must equal the record's position, `prev` must equal the predecessor's
+/// hash (the header's hash for seq 0), and `hash` must equal the FNV-1a 64
+/// of the record's canonical preimage. The first violation is reported as
 /// [`JournalError::ChainBroken`] with the offending sequence number —
 /// whether the cause was a flipped byte, a dropped line, or a reordered
-/// pair. The sole exception is a final line with no trailing newline,
-/// which is dropped and flagged as a torn tail.
+/// pair. A file without a committed header is [`JournalError::Malformed`].
 pub fn read_segment(path: &Path) -> Result<Segment, JournalError> {
-    let text = fs::read_to_string(path).map_err(|source| JournalError::Io {
+    load_segment(path)?.ok_or_else(|| JournalError::Malformed {
+        path: path.to_path_buf(),
+        message: "no committed header line (writer died creating the segment)".into(),
+    })
+}
+
+/// [`read_segment`], with `Ok(None)` for a pre-header wreck: a segment
+/// whose writer died before its header committed holds no event, so the
+/// journal reads past it and its writer starts it over.
+pub(crate) fn load_segment(path: &Path) -> Result<Option<Segment>, JournalError> {
+    let bytes = fs::read(path).map_err(|source| JournalError::Io {
         path: path.to_path_buf(),
         source,
     })?;
+    let Some(lines) = log::split(&bytes) else {
+        return Ok(None);
+    };
     let malformed = |message: String| JournalError::Malformed {
         path: path.to_path_buf(),
         message,
     };
-    let terminated = text.ends_with('\n');
-    let mut lines: Vec<&str> = text.lines().collect();
-    let torn_line = if !terminated { lines.pop() } else { None };
-    let mut lines = lines.into_iter();
-
-    let header = lines
-        .next()
-        .ok_or_else(|| malformed("empty segment (no header line)".into()))?;
+    let header =
+        std::str::from_utf8(lines.header).map_err(|e| malformed(format!("bad header: {e}")))?;
     let hv: Value =
         serde_json::from_str(header).map_err(|e| malformed(format!("bad header: {e}")))?;
     if hv
@@ -70,36 +75,14 @@ pub fn read_segment(path: &Path) -> Result<Segment, JournalError> {
         .map_err(|e| malformed(format!("header: {e}")))?;
 
     let mut prev = fnv1a_hex(header.as_bytes());
-    let mut records = Vec::new();
-    let verify = |line: &str, seq: u64, prev: &mut String| -> Result<EventRecord, String> {
-        let rec = EventRecord::from_line(line).map_err(|e| format!("unparseable record: {e}"))?;
-        if rec.seq != seq {
-            return Err(format!(
-                "sequence mismatch: recorded {}, expected {seq} (dropped or reordered event)",
-                rec.seq
-            ));
-        }
-        if rec.prev != *prev {
-            return Err(format!(
-                "prev-hash mismatch: recorded {}, chain head {prev}",
-                rec.prev
-            ));
-        }
-        let computed = fnv1a_hex(rec.preimage().as_bytes());
-        if computed != rec.hash {
-            return Err(format!(
-                "content hash mismatch: recorded {}, computed {computed}",
-                rec.hash
-            ));
-        }
-        *prev = rec.hash.clone();
-        Ok(rec)
-    };
-
-    for (i, line) in lines.enumerate() {
+    let mut records = Vec::with_capacity(lines.body.len());
+    for (i, line) in lines.body.iter().enumerate() {
         let seq = i as u64;
-        match verify(line, seq, &mut prev) {
-            Ok(rec) => records.push(rec),
+        match verify(line, seq, &prev) {
+            Ok(rec) => {
+                prev.clone_from(&rec.hash);
+                records.push(rec);
+            }
             Err(message) => {
                 return Err(JournalError::ChainBroken {
                     writer,
@@ -109,23 +92,42 @@ pub fn read_segment(path: &Path) -> Result<Segment, JournalError> {
             }
         }
     }
-    // An unterminated final line: keep it if it happens to verify (the
-    // newline itself was lost), otherwise drop it as a torn append.
-    let mut torn_tail = false;
-    if let Some(line) = torn_line {
-        let seq = records.len() as u64;
-        match verify(line, seq, &mut prev) {
-            Ok(rec) => records.push(rec),
-            Err(_) => torn_tail = true,
-        }
-    }
-    Ok(Segment {
+    Ok(Some(Segment {
         writer,
         spec_hash,
         header: header.to_string(),
         records,
-        torn_tail,
-    })
+        torn_tail: lines.torn_tail,
+    }))
+}
+
+/// Verifies one committed line as the record at `seq` after chain head
+/// `prev`.
+fn verify(line: &[u8], seq: u64, prev: &str) -> Result<EventRecord, String> {
+    let rec = std::str::from_utf8(line)
+        .map_err(|e| e.to_string())
+        .and_then(|line| EventRecord::from_line(line).map_err(|e| e.to_string()))
+        .map_err(|e| format!("unparseable record: {e}"))?;
+    if rec.seq != seq {
+        return Err(format!(
+            "sequence mismatch: recorded {}, expected {seq} (dropped or reordered event)",
+            rec.seq
+        ));
+    }
+    if rec.prev != prev {
+        return Err(format!(
+            "prev-hash mismatch: recorded {}, chain head {prev}",
+            rec.prev
+        ));
+    }
+    let computed = fnv1a_hex(rec.preimage().as_bytes());
+    if computed != rec.hash {
+        return Err(format!(
+            "content hash mismatch: recorded {}, computed {computed}",
+            rec.hash
+        ));
+    }
+    Ok(rec)
 }
 
 /// Lists a campaign root's segment files, sorted by file name.
@@ -156,11 +158,15 @@ pub fn segment_files(root: &Path) -> Result<Vec<PathBuf>, JournalError> {
 
 /// Reads and verifies every segment of a campaign's journal, sorted by
 /// writer name. An absent `journal/` directory yields an empty vector
-/// (pre-journal campaign roots stay readable).
+/// (pre-journal campaign roots stay readable), and a segment without a
+/// committed header holds no event and is skipped with a warning.
 pub fn read_journal(root: &Path) -> Result<Vec<Segment>, JournalError> {
     let mut segments = Vec::new();
     for path in segment_files(root)? {
-        segments.push(read_segment(&path)?);
+        match load_segment(&path)? {
+            Some(segment) => segments.push(segment),
+            None => eprintln!("[journal] skipping header-less segment {}", path.display()),
+        }
     }
     segments.sort_by(|a, b| a.writer.cmp(&b.writer));
     Ok(segments)
@@ -204,31 +210,18 @@ impl JournalTail {
         for path in files {
             let from = *self.offsets.get(&path).unwrap_or(&0);
             let Ok(bytes) = fs::read(&path) else { continue };
-            if (bytes.len() as u64) <= from {
+            // A torn tail stays unread and is retried (complete) next poll.
+            let (lines, end) = log::committed(bytes.get(from as usize..).unwrap_or_default());
+            if end == 0 {
                 continue;
             }
-            let tail = &bytes[from as usize..];
-            // Only consume up to the last newline: a torn tail stays
-            // unread and is retried (complete) next poll.
-            let Some(last_nl) = tail.iter().rposition(|&b| b == b'\n') else {
-                continue;
-            };
-            let chunk = &tail[..=last_nl];
-            self.offsets.insert(path.clone(), from + chunk.len() as u64);
-            let writer = path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            let writer = writer
-                .strip_prefix("events-")
-                .and_then(|n| n.strip_suffix(".jsonl"))
-                .unwrap_or(&writer)
-                .to_string();
-            for line in String::from_utf8_lossy(chunk).lines() {
-                if from == 0 && line.contains("\"kind\":\"journal-segment\"") {
-                    continue;
-                }
-                if let Ok(rec) = EventRecord::from_line(line) {
+            self.offsets.insert(path.clone(), from + end as u64);
+            let stem = path.file_stem().unwrap_or_default().to_string_lossy();
+            let writer = stem.strip_prefix("events-").unwrap_or(&stem).to_string();
+            // A segment's first line is its header, not an event.
+            for line in lines.skip(usize::from(from == 0)) {
+                let line = std::str::from_utf8(line).ok();
+                if let Some(rec) = line.and_then(|l| EventRecord::from_line(l).ok()) {
                     out.push((writer.clone(), rec.event));
                 }
             }
@@ -241,7 +234,9 @@ impl JournalTail {
 mod tests {
     use super::*;
     use crate::writer::{segment_path, Journal};
+    use proptest::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::OnceLock;
 
     fn temp_root(tag: &str) -> PathBuf {
         static N: AtomicUsize = AtomicUsize::new(0);
@@ -280,11 +275,15 @@ mod tests {
     fn flipped_byte_reports_the_exact_sequence() {
         let (root, path) = seeded_root("flip", 5);
         let text = fs::read_to_string(&path).unwrap();
-        let mut lines: Vec<String> = text.lines().map(String::from).collect();
-        // Flip one payload byte of the record at seq 2 (line 3).
-        lines[3] = lines[3].replace("\"job\":1", "\"job\":7");
-        fs::write(&path, lines.join("\n") + "\n").unwrap();
-        assert_eq!(broken_seq(read_segment(&path).unwrap_err()), 2);
+        // One payload byte of the record at seq 2 (line 3): another digit,
+        // or a byte that is not UTF-8.
+        let at = text.find("\"job\":1").unwrap() + "\"job\":".len();
+        for byte in [b'7', 0xff] {
+            let mut bytes = text.clone().into_bytes();
+            bytes[at] = byte;
+            fs::write(&path, bytes).unwrap();
+            assert_eq!(broken_seq(read_segment(&path).unwrap_err()), 2);
+        }
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -356,5 +355,62 @@ mod tests {
         ));
         assert!(tail.poll().is_empty());
         fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A committed seven-event segment: its bytes, the offset just past
+    /// each line's newline, and its records.
+    fn fuzz_seed() -> &'static (Vec<u8>, Vec<usize>, Vec<EventRecord>) {
+        static SEED: OnceLock<(Vec<u8>, Vec<usize>, Vec<EventRecord>)> = OnceLock::new();
+        SEED.get_or_init(|| {
+            let (root, path) = seeded_root("fuzz-seed", 7);
+            let bytes = fs::read(&path).unwrap();
+            let records = read_segment(&path).unwrap().records;
+            fs::remove_dir_all(&root).unwrap();
+            let ends: Vec<usize> = (0..bytes.len())
+                .filter(|&i| bytes[i] == b'\n')
+                .map(|i| i + 1)
+                .collect();
+            (bytes, ends, records)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+
+        /// A segment cut at any byte, or with one byte set to any value
+        /// (so invalid UTF-8 and stray newlines too), reads as `Ok`,
+        /// `ChainBroken` or `Malformed` — never an I/O error or a panic.
+        /// A cut is a crash mid-append: the committed record prefix reads
+        /// back whole, with `torn_tail` set exactly when the cut falls
+        /// inside a line, and a cut inside the header is `Malformed`.
+        #[test]
+        fn damaged_segments_read_as_ok_or_broken(at in 0.0f64..1.0, damage in 0u32..512) {
+            let (bytes, ends, records) = fuzz_seed();
+            prop_assert_eq!(records.len(), 7);
+            let k = (at * bytes.len() as f64) as usize;
+            let cut = damage >= 256;
+            let mut damaged = bytes.clone();
+            if cut {
+                damaged.truncate(k);
+            } else {
+                damaged[k] = damage as u8;
+            }
+            let path = std::env::temp_dir()
+                .join(format!("rats-reader-fuzz-{}.jsonl", std::process::id()));
+            fs::write(&path, &damaged).unwrap();
+            let committed = ends.iter().filter(|&&end| end <= k).count();
+            match read_segment(&path) {
+                Ok(segment) if cut => {
+                    prop_assert_eq!(&segment.records, &records[..committed - 1]);
+                    prop_assert_eq!(segment.torn_tail, !ends.contains(&k));
+                }
+                Err(JournalError::Malformed { .. }) if cut => prop_assert_eq!(committed, 0),
+                Ok(_) | Err(JournalError::ChainBroken { .. } | JournalError::Malformed { .. }) => {
+                    prop_assert!(!cut)
+                }
+                Err(e) => panic!("byte {k} damage {damage}: {e}"),
+            }
+            let _ = fs::remove_file(&path);
+        }
     }
 }

@@ -7,15 +7,14 @@
 //! history is provenance, and must never take a campaign down with it.
 
 use std::fs::{self, OpenOptions};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use serde::Value;
 
 use crate::event::{Event, EventRecord};
-use crate::reader::read_segment;
-use crate::{fnv1a_hex, JournalError, JOURNAL_DIR};
+use crate::reader::load_segment;
+use crate::{fnv1a_hex, log, JournalError, JOURNAL_DIR};
 
 /// The segment file a given writer appends to.
 pub fn segment_path(root: &Path, writer: &str) -> PathBuf {
@@ -67,8 +66,9 @@ impl Journal {
     /// Never fails: if the segment cannot be created, or an existing one
     /// fails chain verification, the returned journal is *degraded* — all
     /// [`emit`](Self::emit) calls become no-ops — and a single warning is
-    /// printed. A resumable segment with a torn final line is rewritten
-    /// without the tail first, the same way shard files recover.
+    /// printed. A resumable segment with a torn tail is rewritten without
+    /// it first, and a segment whose header never committed is started
+    /// over, the same way shard files recover (see [`log`]).
     pub fn open(root: &Path, writer: &str, spec_hash: &str) -> Self {
         match Self::try_open(root, writer, spec_hash) {
             Ok(j) => j,
@@ -92,46 +92,35 @@ impl Journal {
             path: dir.clone(),
             source,
         })?;
-        if path.is_file() {
-            return Self::resume(path, writer);
-        }
-        let header = header_line(writer, spec_hash);
-        let head = fnv1a_hex(header.as_bytes());
-        fs::write(&path, format!("{header}\n")).map_err(|source| JournalError::Io {
+        let io = |source: std::io::Error| JournalError::Io {
             path: path.clone(),
             source,
-        })?;
-        Ok(Journal {
-            path,
-            writer: writer.to_string(),
-            seq: 0,
-            head,
-            degraded: false,
-        })
-    }
-
-    /// Re-opens an existing segment, verifying its whole chain and
-    /// dropping a torn tail (rewrite via temp file + atomic rename) so the
-    /// next append lands on a clean, newline-terminated file.
-    fn resume(path: PathBuf, writer: &str) -> Result<Self, JournalError> {
-        let segment = read_segment(&path)?;
+        };
+        let segment = if path.is_file() {
+            load_segment(&path)?
+        } else {
+            None
+        };
+        let Some(segment) = segment else {
+            // A new segment, or a pre-header wreck to start over.
+            let header = header_line(writer, spec_hash);
+            log::create(&path, [&header]).map_err(io)?;
+            return Ok(Journal {
+                head: fnv1a_hex(header.as_bytes()),
+                path,
+                writer: writer.to_string(),
+                seq: 0,
+                degraded: false,
+            });
+        };
+        // Drop a torn tail so the next append lands on a committed line.
         if segment.torn_tail {
-            let mut text = String::with_capacity(1024);
-            text.push_str(&segment.header);
-            text.push('\n');
-            for rec in &segment.records {
-                text.push_str(&rec.to_line());
-                text.push('\n');
-            }
-            let tmp = path.with_extension("jsonl.tmp");
-            fs::write(&tmp, &text).map_err(|source| JournalError::Io {
-                path: tmp.clone(),
-                source,
-            })?;
-            fs::rename(&tmp, &path).map_err(|source| JournalError::Io {
-                path: path.clone(),
-                source,
-            })?;
+            let records = segment.records.iter().map(EventRecord::to_line);
+            log::create(
+                &path,
+                std::iter::once(segment.header.clone()).chain(records),
+            )
+            .map_err(io)?;
         }
         let head = match segment.records.last() {
             Some(last) => last.hash.clone(),
@@ -160,15 +149,10 @@ impl Journal {
             event,
         };
         record.hash = fnv1a_hex(record.preimage().as_bytes());
-        let line = record.to_line();
         let appended = OpenOptions::new()
             .append(true)
             .open(&self.path)
-            .and_then(|mut f| {
-                f.write_all(line.as_bytes())?;
-                f.write_all(b"\n")?;
-                f.flush()
-            });
+            .and_then(|mut f| log::append(&mut f, [record.to_line()]));
         match appended {
             Ok(()) => {
                 self.seq += 1;
@@ -217,6 +201,8 @@ pub(crate) fn now_ms() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reader::{read_journal, read_segment};
+    use std::io::Write as _;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn temp_root(tag: &str) -> PathBuf {
@@ -281,6 +267,48 @@ mod tests {
         let seg = read_segment(&path).unwrap();
         assert_eq!(seg.records.len(), 2);
         assert!(!seg.torn_tail);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_line_that_lost_its_newline_is_dropped_on_resume() {
+        let root = temp_root("newline");
+        let mut j = Journal::open(&root, "w0", "h");
+        j.emit(Event::QueueInit { jobs: 1 });
+        j.emit(Event::JobReseeded { job: 0 });
+        drop(j);
+        // A writer killed between a record's bytes and its newline: the
+        // line parses and verifies, but it never committed.
+        let path = segment_path(&root, "w0");
+        let bytes = fs::read(&path).unwrap();
+        fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
+
+        let mut j = Journal::open(&root, "w0", "h");
+        j.emit(Event::JobReseeded { job: 0 });
+        let seg = read_segment(&path).unwrap();
+        assert_eq!(seg.records.len(), 2, "the line was dropped, not glued onto");
+        assert!(!seg.torn_tail);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_segment_without_its_header_is_started_over() {
+        let root = temp_root("wreck");
+        Journal::open(&root, "w0", "h").emit(Event::QueueInit { jobs: 1 });
+        // A writer killed while creating its segment, with nothing or a
+        // torn header on disk.
+        for wreck in [&b""[..], b"{\"format\":1,\"kind\":\"jour"] {
+            fs::write(segment_path(&root, "w1"), wreck).unwrap();
+            let segments = read_journal(&root).unwrap();
+            assert_eq!(segments.len(), 1, "the wreck holds no event");
+            assert_eq!(segments[0].writer, "w0");
+
+            let mut j = Journal::open(&root, "w1", "h");
+            assert!(!j.is_degraded());
+            j.emit(Event::JobReseeded { job: 0 });
+            let seg = read_segment(&segment_path(&root, "w1")).unwrap();
+            assert_eq!((seg.writer.as_str(), seg.records.len()), ("w1", 1));
+        }
         fs::remove_dir_all(&root).unwrap();
     }
 

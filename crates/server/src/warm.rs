@@ -19,7 +19,7 @@
 //! "the cache was used" is measured, never assumed.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 
 use rats_daggen::population::population_key;
@@ -79,50 +79,108 @@ fn scenario_bytes(s: &Scenario) -> u64 {
     (s.name.len() + 64 + s.dag.num_tasks() * 72 + s.dag.num_edges() * 32) as u64
 }
 
-fn population_bytes(scenarios: &[Scenario]) -> u64 {
-    scenarios.iter().map(scenario_bytes).sum()
-}
-
-fn alloc_entry_bytes(key: &AllocKey, alloc: &Allocation) -> u64 {
-    (key.0.len() + key.1.len() + 48 + alloc.as_slice().len() * 4) as u64
-}
-
-struct PopEntry {
-    scenarios: Arc<Vec<Scenario>>,
-    used: u64,
-    /// Approximate footprint, computed once at insert so eviction can
-    /// subtract exactly what was added.
-    bytes: u64,
-}
-
-struct AllocEntry {
-    alloc: Allocation,
-    used: u64,
-    /// See [`PopEntry::bytes`].
-    bytes: u64,
-}
-
 /// `(population key, cluster name, scenario index)` — see the module docs
 /// for why this triple pins the allocation's inputs exactly.
 type AllocKey = (String, String, usize);
 
+/// A map bounded to `capacity` entries that evicts the least recently
+/// used one, with its hit, miss and eviction counts and the approximate
+/// bytes its entries hold. Both of [`WarmState`]'s caches are one.
+struct Lru<K, V> {
+    capacity: usize,
+    state: Mutex<LruState<K, V>>,
+}
+
+struct LruState<K, V> {
+    entries: HashMap<K, Slot<V>>,
+    /// Bumped on every touch and recorded per entry.
+    clock: u64,
+    counts: LruCounts,
+}
+
+#[derive(Clone, Copy, Default)]
+struct LruCounts {
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+    bytes: u64,
+}
+
+struct Slot<V> {
+    value: V,
+    used: u64,
+    /// Approximate footprint, fixed at insert so eviction subtracts
+    /// exactly what was added.
+    bytes: u64,
+}
+
+impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
+    fn new(capacity: usize) -> Self {
+        let state = LruState {
+            entries: HashMap::new(),
+            clock: 0,
+            counts: LruCounts::default(),
+        };
+        Self {
+            capacity: capacity.max(1),
+            state: Mutex::new(state),
+        }
+    }
+
+    /// The value under `key`, now the most recently used; counts a hit or
+    /// a miss.
+    fn get(&self, key: &K) -> Option<V> {
+        let s = &mut *self.state.lock().expect("warm cache");
+        s.clock += 1;
+        let Some(slot) = s.entries.get_mut(key) else {
+            s.counts.misses += 1;
+            return None;
+        };
+        slot.used = s.clock;
+        s.counts.hits += 1;
+        Some(slot.value.clone())
+    }
+
+    /// Inserts or replaces `key`, then evicts the coldest entries down to
+    /// capacity.
+    fn insert(&self, key: K, value: V, bytes: u64) {
+        let s = &mut *self.state.lock().expect("warm cache");
+        s.clock += 1;
+        let slot = Slot {
+            value,
+            used: s.clock,
+            bytes,
+        };
+        if let Some(old) = s.entries.insert(key, slot) {
+            s.counts.bytes -= old.bytes;
+        }
+        s.counts.bytes += bytes;
+        while s.entries.len() > self.capacity {
+            let coldest = s
+                .entries
+                .iter()
+                .min_by_key(|(_, e)| e.used)
+                .map(|(k, _)| k.clone())
+                .expect("non-empty map over capacity");
+            if let Some(evicted) = s.entries.remove(&coldest) {
+                s.counts.bytes -= evicted.bytes;
+            }
+            s.counts.evictions += 1;
+        }
+    }
+
+    /// The counters and the number of resident entries.
+    fn counts(&self) -> (LruCounts, usize) {
+        let s = self.state.lock().expect("warm cache");
+        (s.counts, s.entries.len())
+    }
+}
+
 /// The server's resident caches. Shared by every connection thread; all
 /// methods take `&self`.
 pub struct WarmState {
-    pop_capacity: usize,
-    alloc_capacity: usize,
-    /// LRU clock: bumped on every touch, recorded per entry.
-    clock: AtomicU64,
-    pops: Mutex<HashMap<String, PopEntry>>,
-    allocs: Mutex<HashMap<AllocKey, AllocEntry>>,
-    pop_hits: AtomicU64,
-    pop_misses: AtomicU64,
-    pop_evictions: AtomicU64,
-    alloc_hits: AtomicU64,
-    alloc_misses: AtomicU64,
-    alloc_evictions: AtomicU64,
-    pop_bytes: AtomicU64,
-    alloc_bytes: AtomicU64,
+    pops: Lru<String, Arc<Vec<Scenario>>>,
+    allocs: Lru<AllocKey, Allocation>,
 }
 
 impl WarmState {
@@ -130,24 +188,9 @@ impl WarmState {
     /// `alloc_capacity` resident allocations (each at least 1).
     pub fn new(pop_capacity: usize, alloc_capacity: usize) -> Self {
         Self {
-            pop_capacity: pop_capacity.max(1),
-            alloc_capacity: alloc_capacity.max(1),
-            clock: AtomicU64::new(0),
-            pops: Mutex::new(HashMap::new()),
-            allocs: Mutex::new(HashMap::new()),
-            pop_hits: AtomicU64::new(0),
-            pop_misses: AtomicU64::new(0),
-            pop_evictions: AtomicU64::new(0),
-            alloc_hits: AtomicU64::new(0),
-            alloc_misses: AtomicU64::new(0),
-            alloc_evictions: AtomicU64::new(0),
-            pop_bytes: AtomicU64::new(0),
-            alloc_bytes: AtomicU64::new(0),
+            pops: Lru::new(pop_capacity),
+            allocs: Lru::new(alloc_capacity),
         }
-    }
-
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
     /// The population for `spec`, from the resident cache when possible.
@@ -156,46 +199,17 @@ impl WarmState {
     /// campaign is still running on it.
     pub fn population(&self, spec: &ExperimentSpec) -> (Arc<Vec<Scenario>>, bool) {
         let key = population_key(&spec.suite.name(), spec.seed);
-        {
-            let mut pops = self.pops.lock().expect("warm population map");
-            if let Some(entry) = pops.get_mut(&key) {
-                entry.used = self.clock.fetch_add(1, Ordering::Relaxed);
-                self.pop_hits.fetch_add(1, Ordering::Relaxed);
-                return (Arc::clone(&entry.scenarios), true);
-            }
+        if let Some(scenarios) = self.pops.get(&key) {
+            return (scenarios, true);
         }
         // Generate outside the lock: a slow (paper-sized) generation must
         // not block other campaigns' unrelated lookups. Two concurrent
         // misses of the same key both generate; the results are
         // bit-identical, so whichever insert lands second just refreshes
         // the entry.
-        self.pop_misses.fetch_add(1, Ordering::Relaxed);
         let scenarios = Arc::new(spec.scenarios());
-        let bytes = population_bytes(&scenarios);
-        let mut pops = self.pops.lock().expect("warm population map");
-        let used = self.tick();
-        if let Some(old) = pops.insert(
-            key,
-            PopEntry {
-                scenarios: Arc::clone(&scenarios),
-                used,
-                bytes,
-            },
-        ) {
-            self.pop_bytes.fetch_sub(old.bytes, Ordering::Relaxed);
-        }
-        self.pop_bytes.fetch_add(bytes, Ordering::Relaxed);
-        while pops.len() > self.pop_capacity {
-            let coldest = pops
-                .iter()
-                .min_by_key(|(_, e)| e.used)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty map over capacity");
-            if let Some(evicted) = pops.remove(&coldest) {
-                self.pop_bytes.fetch_sub(evicted.bytes, Ordering::Relaxed);
-            }
-            self.pop_evictions.fetch_add(1, Ordering::Relaxed);
-        }
+        let bytes = scenarios.iter().map(scenario_bytes).sum();
+        self.pops.insert(key, Arc::clone(&scenarios), bytes);
         (scenarios, false)
     }
 
@@ -210,17 +224,19 @@ impl WarmState {
 
     /// Current counter values and residency.
     pub fn stats(&self) -> WarmStats {
+        let (pops, resident_populations) = self.pops.counts();
+        let (allocs, resident_allocs) = self.allocs.counts();
         WarmStats {
-            population_hits: self.pop_hits.load(Ordering::Relaxed),
-            population_misses: self.pop_misses.load(Ordering::Relaxed),
-            population_evictions: self.pop_evictions.load(Ordering::Relaxed),
-            alloc_hits: self.alloc_hits.load(Ordering::Relaxed),
-            alloc_misses: self.alloc_misses.load(Ordering::Relaxed),
-            alloc_evictions: self.alloc_evictions.load(Ordering::Relaxed),
-            resident_populations: self.pops.lock().expect("warm population map").len(),
-            resident_allocs: self.allocs.lock().expect("warm alloc map").len(),
-            resident_population_bytes: self.pop_bytes.load(Ordering::Relaxed),
-            resident_alloc_bytes: self.alloc_bytes.load(Ordering::Relaxed),
+            population_hits: pops.hits,
+            population_misses: pops.misses,
+            population_evictions: pops.evictions,
+            alloc_hits: allocs.hits,
+            alloc_misses: allocs.misses,
+            alloc_evictions: allocs.evictions,
+            resident_populations,
+            resident_allocs,
+            resident_population_bytes: pops.bytes,
+            resident_alloc_bytes: allocs.bytes,
         }
     }
 }
@@ -236,51 +252,14 @@ pub struct WarmAllocs<'a> {
 impl AllocSource for WarmAllocs<'_> {
     fn lookup(&self, cluster: &str, scenario: usize) -> Option<Allocation> {
         let key = (self.population.clone(), cluster.to_string(), scenario);
-        let mut allocs = self.warm.allocs.lock().expect("warm alloc map");
-        match allocs.get_mut(&key) {
-            Some(entry) => {
-                entry.used = self.warm.clock.fetch_add(1, Ordering::Relaxed);
-                self.warm.alloc_hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.alloc.clone())
-            }
-            None => {
-                self.warm.alloc_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.warm.allocs.get(&key)
     }
 
     fn publish(&self, cluster: &str, scenario: usize, alloc: &Allocation) {
         let key = (self.population.clone(), cluster.to_string(), scenario);
-        let bytes = alloc_entry_bytes(&key, alloc);
-        let mut allocs = self.warm.allocs.lock().expect("warm alloc map");
-        let used = self.warm.tick();
-        if let Some(old) = allocs.insert(
-            key,
-            AllocEntry {
-                alloc: alloc.clone(),
-                used,
-                bytes,
-            },
-        ) {
-            self.warm
-                .alloc_bytes
-                .fetch_sub(old.bytes, Ordering::Relaxed);
-        }
-        self.warm.alloc_bytes.fetch_add(bytes, Ordering::Relaxed);
-        while allocs.len() > self.warm.alloc_capacity {
-            let coldest = allocs
-                .iter()
-                .min_by_key(|(_, e)| e.used)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty map over capacity");
-            if let Some(evicted) = allocs.remove(&coldest) {
-                self.warm
-                    .alloc_bytes
-                    .fetch_sub(evicted.bytes, Ordering::Relaxed);
-            }
-            self.warm.alloc_evictions.fetch_add(1, Ordering::Relaxed);
-        }
+        // Key strings, a fixed overhead and the counts.
+        let bytes = key.0.len() + key.1.len() + 48 + alloc.as_slice().len() * 4;
+        self.warm.allocs.insert(key, alloc.clone(), bytes as u64);
     }
 }
 
