@@ -71,7 +71,7 @@ pub struct AdjEdge {
 }
 
 /// A CSR (compressed sparse row) adjacency snapshot: the neighbors of task
-/// `t` sit in `items[start[t] .. start[t + 1]]`, in edge insertion order.
+/// `t` sit in `items[start[t] .. start[t + 1]]`, in edge id order.
 #[derive(Debug, Clone, Default)]
 struct FlatAdj {
     start: Vec<u32>,
@@ -81,22 +81,24 @@ struct FlatAdj {
 /// A directed acyclic graph of moldable data-parallel tasks.
 ///
 /// Nodes and edges are stored in insertion order and addressed by the dense
-/// [`TaskId`] / [`EdgeId`] indices; adjacency is kept as per-node edge-id
-/// lists in both directions, so predecessor and successor scans — the hot
-/// operations of list scheduling — are cache-friendly and allocation-free.
+/// [`TaskId`] / [`EdgeId`] indices. The edge list is the only adjacency
+/// store; besides it the graph keeps one in-degree and one out-degree
+/// counter per task, maintained by [`add_edge`](Self::add_edge), so degree
+/// queries during construction build nothing.
 ///
-/// On top of the edge-id lists, the graph lazily materializes flat CSR
-/// adjacency views ([`preds_flat`](Self::preds_flat) /
+/// Scans read two flat CSR views ([`preds_flat`](Self::preds_flat) /
 /// [`succs_flat`](Self::succs_flat)): one contiguous `(task, edge, bytes)`
-/// array per direction, built on first use and invalidated by mutation.
-/// Schedulers and analyses walk these views to avoid the per-edge
-/// pointer chase into the edge table.
+/// array per direction, built lazily by one counting sort over the edge
+/// list and dropped by mutation. The sort visits edges in id order, so the
+/// neighbors of every task come out in the order their edges were added;
+/// [`successors`](Self::successors), [`predecessors`](Self::predecessors)
+/// and every fold over them see that order.
 #[derive(Debug, Clone, Default)]
 pub struct TaskGraph {
     nodes: Vec<TaskNode>,
     edges: Vec<Edge>,
-    succ: Vec<Vec<EdgeId>>,
-    pred: Vec<Vec<EdgeId>>,
+    in_deg: Vec<u32>,
+    out_deg: Vec<u32>,
     flat_pred: OnceLock<FlatAdj>,
     flat_succ: OnceLock<FlatAdj>,
     topo: OnceLock<Result<Vec<TaskId>, DagError>>,
@@ -113,20 +115,18 @@ impl TaskGraph {
         Self {
             nodes: Vec::with_capacity(tasks),
             edges: Vec::with_capacity(edges),
-            succ: Vec::with_capacity(tasks),
-            pred: Vec::with_capacity(tasks),
-            flat_pred: OnceLock::new(),
-            flat_succ: OnceLock::new(),
-            topo: OnceLock::new(),
+            in_deg: Vec::with_capacity(tasks),
+            out_deg: Vec::with_capacity(tasks),
+            ..Self::default()
         }
     }
 
     /// Drops the cached flat adjacency views and topological order; called
     /// by every mutation that could invalidate them.
     fn invalidate_flat(&mut self) {
-        self.flat_pred = OnceLock::new();
-        self.flat_succ = OnceLock::new();
-        self.topo = OnceLock::new();
+        self.flat_pred.take();
+        self.flat_succ.take();
+        self.topo.take();
     }
 
     /// Number of tasks.
@@ -155,8 +155,8 @@ impl TaskGraph {
             name: name.into(),
             cost,
         });
-        self.succ.push(Vec::new());
-        self.pred.push(Vec::new());
+        self.in_deg.push(0);
+        self.out_deg.push(0);
         id
     }
 
@@ -179,8 +179,8 @@ impl TaskGraph {
         );
         let id = EdgeId::from_index(self.edges.len());
         self.edges.push(Edge { src, dst, bytes });
-        self.succ[src.index()].push(id);
-        self.pred[dst.index()].push(id);
+        self.out_deg[src.index()] += 1;
+        self.in_deg[dst.index()] += 1;
         id
     }
 
@@ -202,11 +202,21 @@ impl TaskGraph {
         &self.edges[id.index()]
     }
 
-    /// Mutable access to an edge.
-    #[inline]
-    pub fn edge_mut(&mut self, id: EdgeId) -> &mut Edge {
-        self.invalidate_flat();
-        &mut self.edges[id.index()]
+    /// Sets the payload of edge `e` to `bytes`. Endpoints never move, so
+    /// the degree counters and the topological order stay valid; only the
+    /// flat views, which carry the payloads, are dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a negative or non-finite size.
+    pub fn set_edge_bytes(&mut self, e: EdgeId, bytes: f64) {
+        assert!(
+            bytes.is_finite() && bytes >= 0.0,
+            "edge weight must be a finite non-negative byte count, got {bytes}"
+        );
+        self.flat_pred.take();
+        self.flat_succ.take();
+        self.edges[e.index()].bytes = bytes;
     }
 
     /// Iterates over all task ids in insertion order.
@@ -219,47 +229,51 @@ impl TaskGraph {
         (0..self.edges.len()).map(EdgeId::from_index)
     }
 
-    /// Outgoing edges of `t`.
-    #[inline]
-    pub fn out_edges(&self, t: TaskId) -> &[EdgeId] {
-        &self.succ[t.index()]
-    }
-
-    /// Incoming edges of `t`.
-    #[inline]
-    pub fn in_edges(&self, t: TaskId) -> &[EdgeId] {
-        &self.pred[t.index()]
-    }
-
-    /// Successor tasks of `t` (with the connecting edge id).
+    /// Successor tasks of `t` (with the connecting edge id), in edge id
+    /// order.
     pub fn successors(&self, t: TaskId) -> impl Iterator<Item = (TaskId, EdgeId)> + '_ {
-        self.succ[t.index()]
-            .iter()
-            .map(|&e| (self.edges[e.index()].dst, e))
+        self.succs_flat(t).iter().map(|a| (a.task, a.edge))
     }
 
-    /// Predecessor tasks of `t` (with the connecting edge id).
+    /// Predecessor tasks of `t` (with the connecting edge id), in edge id
+    /// order.
     pub fn predecessors(&self, t: TaskId) -> impl Iterator<Item = (TaskId, EdgeId)> + '_ {
-        self.pred[t.index()]
-            .iter()
-            .map(|&e| (self.edges[e.index()].src, e))
+        self.preds_flat(t).iter().map(|a| (a.task, a.edge))
     }
 
-    /// Builds a flat CSR adjacency in the given direction.
-    fn build_flat(&self, lists: &[Vec<EdgeId>], pred: bool) -> FlatAdj {
-        let mut start = Vec::with_capacity(self.nodes.len() + 1);
-        let mut items = Vec::with_capacity(self.edges.len());
+    /// Builds a flat CSR adjacency in the given direction: one counting
+    /// sort of the edge list by destination (`pred`) or source, stable in
+    /// edge id order.
+    fn build_flat(&self, pred: bool) -> FlatAdj {
+        let deg = if pred { &self.in_deg } else { &self.out_deg };
+        // `start[t + 1]` begins as the offset of `t` and serves as its
+        // fill cursor, ending as the offset of `t + 1`.
+        let mut start = Vec::with_capacity(deg.len() + 1);
         start.push(0u32);
-        for list in lists {
-            for &e in list {
-                let edge = &self.edges[e.index()];
-                items.push(AdjEdge {
-                    task: if pred { edge.src } else { edge.dst },
-                    edge: e,
-                    bytes: edge.bytes,
-                });
-            }
-            start.push(items.len() as u32);
+        let mut offset = 0u32;
+        for &d in deg {
+            start.push(offset);
+            offset += d;
+        }
+        let blank = AdjEdge {
+            task: TaskId(0),
+            edge: EdgeId(0),
+            bytes: 0.0,
+        };
+        let mut items = vec![blank; self.edges.len()];
+        for (i, edge) in self.edges.iter().enumerate() {
+            let (key, task) = if pred {
+                (edge.dst, edge.src)
+            } else {
+                (edge.src, edge.dst)
+            };
+            let cursor = &mut start[key.index() + 1];
+            items[*cursor as usize] = AdjEdge {
+                task,
+                edge: EdgeId::from_index(i),
+                bytes: edge.bytes,
+            };
+            *cursor += 1;
         }
         FlatAdj { start, items }
     }
@@ -269,9 +283,7 @@ impl TaskGraph {
     /// use (O(edges)), cached until the graph is mutated.
     #[inline]
     pub fn preds_flat(&self, t: TaskId) -> &[AdjEdge] {
-        let f = self
-            .flat_pred
-            .get_or_init(|| self.build_flat(&self.pred, true));
+        let f = self.flat_pred.get_or_init(|| self.build_flat(true));
         &f.items[f.start[t.index()] as usize..f.start[t.index() + 1] as usize]
     }
 
@@ -280,22 +292,20 @@ impl TaskGraph {
     /// (O(edges)), cached until the graph is mutated.
     #[inline]
     pub fn succs_flat(&self, t: TaskId) -> &[AdjEdge] {
-        let f = self
-            .flat_succ
-            .get_or_init(|| self.build_flat(&self.succ, false));
+        let f = self.flat_succ.get_or_init(|| self.build_flat(false));
         &f.items[f.start[t.index()] as usize..f.start[t.index() + 1] as usize]
     }
 
     /// In-degree of `t`.
     #[inline]
     pub fn in_degree(&self, t: TaskId) -> usize {
-        self.pred[t.index()].len()
+        self.in_deg[t.index()] as usize
     }
 
     /// Out-degree of `t`.
     #[inline]
     pub fn out_degree(&self, t: TaskId) -> usize {
-        self.succ[t.index()].len()
+        self.out_deg[t.index()] as usize
     }
 
     /// Entry tasks (no predecessors).
@@ -334,7 +344,7 @@ impl TaskGraph {
 
     fn compute_topo(&self) -> Result<Vec<TaskId>, DagError> {
         let n = self.num_tasks();
-        let mut indeg: Vec<usize> = (0..n).map(|i| self.pred[i].len()).collect();
+        let mut indeg = self.in_deg.clone();
         let mut order = Vec::with_capacity(n);
         let mut queue: Vec<TaskId> = self.task_ids().filter(|t| indeg[t.index()] == 0).collect();
         // Use a FIFO index rather than pop() so insertion order is preserved
@@ -450,6 +460,7 @@ impl TaskGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cost() -> TaskCost {
         TaskCost::new(1_000_000, 100.0, 0.1)
@@ -567,5 +578,109 @@ mod tests {
     fn topo_order_is_deterministic() {
         let (g, _) = diamond();
         assert_eq!(g.topo_order().unwrap(), g.topo_order().unwrap());
+    }
+
+    /// Every adjacency accessor of `g`, checked against a naive rebuild
+    /// from the edge list alone: per-task neighbor lists in edge id order,
+    /// degrees, entries, exits and a FIFO Kahn order.
+    fn check_against_edge_list(g: &TaskGraph) {
+        let n = g.num_tasks();
+        let mut succ = vec![Vec::new(); n];
+        let mut pred = vec![Vec::new(); n];
+        for e in g.edge_ids() {
+            let Edge { src, dst, bytes } = *g.edge(e);
+            succ[src.index()].push(AdjEdge {
+                task: dst,
+                edge: e,
+                bytes,
+            });
+            pred[dst.index()].push(AdjEdge {
+                task: src,
+                edge: e,
+                bytes,
+            });
+        }
+        let pairs = |list: &[AdjEdge]| -> Vec<(TaskId, EdgeId)> {
+            list.iter().map(|a| (a.task, a.edge)).collect()
+        };
+        for t in g.task_ids() {
+            let (s, p) = (&succ[t.index()], &pred[t.index()]);
+            prop_assert_eq!(g.succs_flat(t), s.as_slice());
+            prop_assert_eq!(g.preds_flat(t), p.as_slice());
+            prop_assert_eq!(g.successors(t).collect::<Vec<_>>(), pairs(s));
+            prop_assert_eq!(g.predecessors(t).collect::<Vec<_>>(), pairs(p));
+            prop_assert_eq!(g.out_degree(t), s.len());
+            prop_assert_eq!(g.in_degree(t), p.len());
+        }
+        let without = |lists: &[Vec<AdjEdge>]| -> Vec<TaskId> {
+            g.task_ids()
+                .filter(|t| lists[t.index()].is_empty())
+                .collect()
+        };
+        prop_assert_eq!(g.entries(), without(&pred));
+        prop_assert_eq!(g.exits(), without(&succ));
+        let mut indeg: Vec<usize> = pred.iter().map(Vec::len).collect();
+        let mut order = without(&pred);
+        let mut head = 0;
+        while head < order.len() {
+            let t = order[head];
+            head += 1;
+            for a in &succ[t.index()] {
+                indeg[a.task.index()] -= 1;
+                if indeg[a.task.index()] == 0 {
+                    order.push(a.task);
+                }
+            }
+        }
+        let naive = match g.task_ids().find(|t| indeg[t.index()] > 0) {
+            None => Ok(order),
+            Some(t) => Err(DagError::Cycle(t)),
+        };
+        prop_assert_eq!(g.topo_order(), naive);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random graphs grown by `add_task`, `add_edge` and
+        /// `set_edge_bytes`, with queries interleaved so that mutations
+        /// also land after the views were built: after each queried step
+        /// every accessor matches a rebuild from the edge list.
+        #[test]
+        fn flat_views_match_the_edge_list(seed in 0u64..u64::MAX) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut g = TaskGraph::new();
+            for _ in 0..rng.random_range(1..80u32) {
+                let n = g.num_tasks();
+                match rng.random_range(0..8u32) {
+                    0..=1 => {
+                        g.add_task("t", cost());
+                    }
+                    // Mostly forward edges (acyclic), sometimes any
+                    // direction, so cycles show up too.
+                    2..=5 if n >= 2 => {
+                        let a = rng.random_range(0..n);
+                        let b = (a + rng.random_range(1..n)) % n;
+                        let (src, dst) = if rng.random_bool(0.8) {
+                            (a.min(b), a.max(b))
+                        } else {
+                            (a, b)
+                        };
+                        let bytes = f64::from(rng.random_range(0..100u32));
+                        g.add_edge(TaskId::from_index(src), TaskId::from_index(dst), bytes);
+                    }
+                    6..=7 if g.num_edges() > 0 => {
+                        let e = EdgeId::from_index(rng.random_range(0..g.num_edges()));
+                        g.set_edge_bytes(e, f64::from(rng.random_range(0..100u32)));
+                    }
+                    _ => {}
+                }
+                if rng.random_bool(0.5) {
+                    check_against_edge_list(&g);
+                }
+            }
+            check_against_edge_list(&g);
+        }
     }
 }

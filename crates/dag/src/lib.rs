@@ -8,16 +8,17 @@
 //!
 //! The crate provides:
 //!
-//! * [`TaskGraph`] — a compact adjacency-list DAG with typed [`TaskId`] /
-//!   [`EdgeId`] indices, suited to the dense side-arrays used by schedulers;
+//! * [`TaskGraph`] — a compact edge-list DAG with typed [`TaskId`] /
+//!   [`EdgeId`] indices, suited to the dense side-arrays used by schedulers,
+//!   and lazily built flat predecessor and successor views;
 //! * structural queries: entries, exits, topological order, depth levels,
 //!   validation ([`DagError`]);
 //! * scheduling analyses: top/bottom levels and the critical path for a given
 //!   vector of task execution times (see [`bottom_levels`], [`critical_path`]);
-//! * event-driven readiness tracking for list schedulers: a flattened
-//!   successor view plus Kahn-style in-degree counters, so placing a task
-//!   discovers newly ready successors in O(out-degree) instead of a
-//!   per-round full-graph re-scan ([`ReadyTracker`], [`SuccessorView`]);
+//! * event-driven readiness tracking for list schedulers: Kahn-style
+//!   in-degree counters over the graph's flat successor view, so placing a
+//!   task discovers newly ready successors in O(out-degree) instead of a
+//!   per-round full-graph re-scan ([`ReadyTracker`]);
 //! * Graphviz DOT export for debugging ([`TaskGraph::to_dot`]).
 
 mod analysis;
@@ -30,6 +31,6 @@ mod stats;
 pub use analysis::{bottom_levels, critical_path, critical_path_length, top_levels};
 pub use graph::{DagError, Edge, TaskGraph, TaskNode};
 pub use ids::{EdgeId, TaskId};
-pub use ready::{ReadyTracker, SuccessorView};
+pub use ready::ReadyTracker;
 pub use serialize::{from_text, to_text, ParseError};
 pub use stats::GraphStats;

@@ -3,62 +3,12 @@
 //! The mapping driver's original formulation re-scanned every task per
 //! ready-list round to find those whose predecessors were all placed — an
 //! O(n²) pattern (worse with in-degree factored in). [`ReadyTracker`]
-//! replaces the scan with Kahn-style in-degree counters over a flattened
-//! successor view ([`SuccessorView`]): placing a task discovers its newly
-//! ready successors in O(out-degree).
+//! replaces the scan with Kahn-style in-degree counters over the graph's
+//! flat successor view ([`TaskGraph::succs_flat`]): placing a task
+//! discovers its newly ready successors in O(out-degree).
 
 use crate::graph::TaskGraph;
-use crate::ids::{EdgeId, TaskId};
-
-// `SuccessorView` predates `TaskGraph`'s built-in flat adjacency caches
-// (`TaskGraph::succs_flat`); it remains for callers that want an owned
-// snapshot decoupled from the graph's lifetime. `ReadyTracker` itself now
-// borrows the graph and walks the cached flat view directly, so building a
-// tracker is O(tasks), not O(edges).
-
-/// A flat CSR (compressed sparse row) view of the successor adjacency:
-/// `(successor, edge)` pairs of task `t` sit in
-/// `pairs[offsets[t] .. offsets[t + 1]]`, in edge insertion order — the same
-/// order [`TaskGraph::successors`] yields.
-///
-/// The view is a snapshot: it does not observe tasks or edges added to the
-/// graph after construction.
-#[derive(Debug, Clone)]
-pub struct SuccessorView {
-    offsets: Vec<u32>,
-    pairs: Vec<(TaskId, EdgeId)>,
-}
-
-impl SuccessorView {
-    /// Flattens the graph's successor adjacency.
-    pub fn new(graph: &TaskGraph) -> Self {
-        let n = graph.num_tasks();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut pairs = Vec::with_capacity(graph.num_edges());
-        offsets.push(0);
-        for t in graph.task_ids() {
-            pairs.extend(graph.successors(t));
-            offsets.push(pairs.len() as u32);
-        }
-        Self { offsets, pairs }
-    }
-
-    /// The `(successor, edge)` pairs of `t`, in edge insertion order.
-    #[inline]
-    pub fn successors(&self, t: TaskId) -> &[(TaskId, EdgeId)] {
-        let (lo, hi) = (
-            self.offsets[t.index()] as usize,
-            self.offsets[t.index() + 1] as usize,
-        );
-        &self.pairs[lo..hi]
-    }
-
-    /// Number of tasks covered by the view.
-    #[inline]
-    pub fn num_tasks(&self) -> usize {
-        self.offsets.len() - 1
-    }
-}
+use crate::ids::TaskId;
 
 /// Incremental ready-set maintenance: an in-degree counter per task plus a
 /// batch of tasks that became ready since the last [`take_batch`] call.
@@ -186,18 +136,6 @@ mod tests {
         g.add_edge(b, d, 8.0);
         g.add_edge(c, d, 8.0);
         (g, [a, b, c, d])
-    }
-
-    #[test]
-    fn successor_view_matches_graph_adjacency() {
-        let (g, _) = diamond();
-        let v = SuccessorView::new(&g);
-        assert_eq!(v.num_tasks(), g.num_tasks());
-        for t in g.task_ids() {
-            let flat: Vec<_> = v.successors(t).to_vec();
-            let iter: Vec<_> = g.successors(t).collect();
-            assert_eq!(flat, iter);
-        }
     }
 
     #[test]

@@ -63,21 +63,27 @@ pub(crate) fn set_edge_payloads(g: &mut TaskGraph) {
     for e in g.edge_ids() {
         let src = g.edge(e).src;
         let bytes = g.task(src).cost.data_bytes();
-        g.edge_mut(e).bytes = bytes;
+        g.set_edge_bytes(e, bytes);
     }
 }
 
-/// Draws `k` distinct values from `0..n` (k ≤ n), in random order.
-pub(crate) fn sample_distinct(rng: &mut StdRng, n: u32, k: u32) -> Vec<u32> {
+/// Draws `k` distinct values from `0..n` (k ≤ n), in random order, using
+/// `pool` as scratch so repeated draws reuse one buffer.
+pub(crate) fn sample_distinct<'p>(
+    rng: &mut StdRng,
+    n: u32,
+    k: u32,
+    pool: &'p mut Vec<u32>,
+) -> &'p [u32] {
     use rand::Rng;
     debug_assert!(k <= n);
-    let mut pool: Vec<u32> = (0..n).collect();
+    pool.clear();
+    pool.extend(0..n);
     for i in 0..k as usize {
         let j = rng.random_range(i..n as usize);
         pool.swap(i, j);
     }
-    pool.truncate(k as usize);
-    pool
+    &pool[..k as usize]
 }
 
 #[cfg(test)]
@@ -112,8 +118,9 @@ mod tests {
     #[test]
     fn sample_distinct_is_distinct() {
         let mut rng = StdRng::seed_from_u64(9);
+        let mut pool = Vec::new();
         for _ in 0..100 {
-            let mut v = sample_distinct(&mut rng, 10, 7);
+            let mut v = sample_distinct(&mut rng, 10, 7, &mut pool).to_vec();
             v.sort_unstable();
             v.dedup();
             assert_eq!(v.len(), 7);

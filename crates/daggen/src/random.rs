@@ -89,6 +89,7 @@ fn build_structure(p: &DagParams, rng: &mut StdRng) -> (TaskGraph, Vec<Vec<TaskI
     // Parents: every task of level l ≥ 1 gets ≥ 1 parent in level l−1 (so
     // the depth level equals the generated level) and up to
     // `density · |level l−1|` parents drawn from levels l−j, j ≤ jump.
+    let mut pool = Vec::new();
     for l in 1..by_level.len() {
         let prev_size = by_level[l - 1].len() as u32;
         for i in 0..by_level[l].len() {
@@ -96,7 +97,7 @@ fn build_structure(p: &DagParams, rng: &mut StdRng) -> (TaskGraph, Vec<Vec<TaskI
             let extra = (p.density * f64::from(prev_size) * rng.random_range(0.0..1.0)) as u32;
             let nb_parents = (1 + extra).min(prev_size);
             // First (and possibly only) parents come from level l−1.
-            for &pi in sample_distinct(rng, prev_size, nb_parents).iter() {
+            for &pi in sample_distinct(rng, prev_size, nb_parents, &mut pool) {
                 g.add_edge(by_level[l - 1][pi as usize], t, 0.0);
             }
             // Jump edges from farther levels (irregular DAGs only).

@@ -125,7 +125,7 @@ proptest! {
         };
         let mut dag = irregular_dag(&p, &CostParams::paper(), seed);
         for e in dag.edge_ids().collect::<Vec<_>>() {
-            dag.edge_mut(e).bytes = f64::from(rng.random_range(0..3u32));
+            dag.set_edge_bytes(e, f64::from(rng.random_range(0..3u32)));
         }
         let mut times: Vec<f64> = (0..dag.num_tasks())
             .map(|_| f64::from(rng.random_range(0..5u32)))

@@ -297,20 +297,25 @@ impl MappingPolicy for MappingStrategy {
 /// predecessor id.
 fn decide_delta(params: &DeltaParams, view: &MapView<'_, '_>, task: TaskId) -> MappingDecision {
     let k = view.allocated(task);
+    let (grow, shrink) = (params.delta_max(k), params.delta_min_magnitude(k));
     // (|δ|, edge bytes, pred) of the best qualifying predecessor.
     let mut chosen: Option<(u32, f64, TaskId)> = None;
-    for (pred, e) in view.adoptable_predecessors(task) {
+    for a in view.dag().preds_flat(task) {
+        let pred = a.task;
+        if view.is_adopted(pred) {
+            continue;
+        }
         let np = view.placed_size(pred);
         let feasible = if np >= k {
-            np - k <= params.delta_max(k)
+            np - k <= grow
         } else {
-            k - np <= params.delta_min_magnitude(k)
+            k - np <= shrink
         };
         if !feasible {
             continue;
         }
         let d = np.abs_diff(k);
-        let bytes = view.edge_bytes(e);
+        let bytes = a.bytes;
         let better = match chosen {
             None => true,
             Some((bd, bb, bp)) => {

@@ -165,8 +165,8 @@ fn replay<N: Network>(
             for p in schedule.entries[t.index()].procs.iter() {
                 run.proc_busy[p as usize] = false;
             }
-            for &e in dag.out_edges(t) {
-                run.start_edge(e);
+            for a in dag.succs_flat(t) {
+                run.start_edge(a.edge);
             }
         }
 

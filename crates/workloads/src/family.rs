@@ -299,7 +299,7 @@ impl FamilySpec {
         let ccr = self.ccr.sample(&mut rng);
         if ccr != 1.0 {
             for e in dag.edge_ids() {
-                dag.edge_mut(e).bytes *= ccr;
+                dag.set_edge_bytes(e, dag.edge(e).bytes * ccr);
             }
         }
         let desc = if desc.is_empty() {
