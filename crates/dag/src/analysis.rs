@@ -4,10 +4,10 @@
 //! [`TaskId::index`] and the communication cost of each edge as a closure
 //! `(edge id, edge bytes) -> cost`, so the same graph can be analysed under
 //! different allocations (CPA/HCPA re-evaluate the critical path after every
-//! allocation change) and under different platform parameters. The byte
-//! payload is handed to the closure straight from the flat adjacency view
-//! ([`TaskGraph::succs_flat`]) so cost models keyed on transfer size need no
-//! edge-table lookup of their own.
+//! allocation change) and under different platform parameters. The scans
+//! walk the flat successor view ([`TaskGraph::succs_flat`]) and hand the
+//! closure each edge's payload from the edge list, so cost models keyed on
+//! transfer size need no lookup of their own.
 
 use crate::graph::TaskGraph;
 use crate::ids::{EdgeId, TaskId};
@@ -37,7 +37,7 @@ where
     for &t in order.iter().rev() {
         let mut tail: f64 = 0.0;
         for a in g.succs_flat(t) {
-            tail = tail.max(edge_cost(a.edge, a.bytes) + bl[a.task.index()]);
+            tail = tail.max(edge_cost(a.edge, g.edge(a.edge).bytes) + bl[a.task.index()]);
         }
         bl[t.index()] = task_time[t.index()] + tail;
     }
@@ -66,7 +66,8 @@ where
     for &t in order {
         for a in g.succs_flat(t) {
             let dst = a.task;
-            let candidate = tl[t.index()] + task_time[t.index()] + edge_cost(a.edge, a.bytes);
+            let candidate =
+                tl[t.index()] + task_time[t.index()] + edge_cost(a.edge, g.edge(a.edge).bytes);
             if candidate > tl[dst.index()] {
                 tl[dst.index()] = candidate;
             }
@@ -113,8 +114,8 @@ where
             .succs_flat(cur)
             .iter()
             .max_by(|a, b| {
-                let wa = edge_cost(a.edge, a.bytes) + bl[a.task.index()];
-                let wb = edge_cost(b.edge, b.bytes) + bl[b.task.index()];
+                let wa = edge_cost(a.edge, g.edge(a.edge).bytes) + bl[a.task.index()];
+                let wb = edge_cost(b.edge, g.edge(b.edge).bytes) + bl[b.task.index()];
                 wa.partial_cmp(&wb)
                     .expect("path weights are finite")
                     .then(b.task.index().cmp(&a.task.index()))

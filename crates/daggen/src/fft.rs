@@ -37,7 +37,9 @@ pub fn fft_dag(k: u32, cost: &CostParams, seed: u64) -> TaskGraph {
         "k must be a power of two ≥ 2"
     );
     let stages = k.ilog2();
-    let mut g = TaskGraph::with_capacity(fft_task_count(k) as usize, 4 * k as usize);
+    // `2(k − 1)` tree edges plus two inputs per butterfly task.
+    let edges = (2 * (k - 1) + 2 * k * stages) as usize;
+    let mut g = TaskGraph::with_capacity(fft_task_count(k) as usize, edges);
     let mut rng = StdRng::seed_from_u64(seed);
 
     // Recursive-call tree, level by level: level d has 2^d tasks.
@@ -68,6 +70,7 @@ pub fn fft_dag(k: u32, cost: &CostParams, seed: u64) -> TaskGraph {
         }
         prev = stage;
     }
+    debug_assert_eq!(g.num_edges(), edges);
 
     assign_level_costs(&mut g, cost, &mut rng);
     debug_assert!(g.validate().is_ok());

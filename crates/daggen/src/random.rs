@@ -121,6 +121,8 @@ fn build_structure(p: &DagParams, rng: &mut StdRng) -> (TaskGraph, Vec<Vec<TaskI
             }
         }
     }
+    // The edge count is only known now; drop the slack the doublings left.
+    g.shrink_to_fit();
     (g, by_level)
 }
 

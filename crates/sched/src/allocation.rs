@@ -294,7 +294,7 @@ impl<'g> BottomLevels<'g> {
         for t in dag.task_ids() {
             for a in dag.succs_flat(t) {
                 succ.push(a.task.index() as u32);
-                cost.push(edge_cost(a.bytes));
+                cost.push(edge_cost(dag.edge(a.edge).bytes));
             }
             succ_start.push(succ.len() as u32);
         }

@@ -552,7 +552,7 @@ impl<'a> Mapper<'a> {
             finish_max = finish_max.max(finish);
             // Mirrors `RedistCache::cost_upper_bound` operation for
             // operation (see `upper_bound_coeffs`).
-            bound_max = bound_max.max(finish + (lat + a.bytes * inv));
+            bound_max = bound_max.max(finish + (lat + self.dag.edge(a.edge).bytes * inv));
         }
         let sc = BoundScalars {
             bound_max,
@@ -577,9 +577,10 @@ impl<'a> Mapper<'a> {
         }
         let start = cache.bitems.len();
         for a in self.dag.preds_flat(t) {
-            let bound = self.tasks.finish[a.task.index()] + cache.redist.cost_upper_bound(a.bytes);
+            let bytes = self.dag.edge(a.edge).bytes;
+            let bound = self.tasks.finish[a.task.index()] + cache.redist.cost_upper_bound(bytes);
             if bound > finish_max {
-                cache.bitems.push((bound, a.task.index() as u32, a.bytes));
+                cache.bitems.push((bound, a.task.index() as u32, bytes));
             }
         }
         // Tiny ranges are the common case; a handwritten swap beats the
@@ -831,8 +832,8 @@ impl<'a> Mapper<'a> {
             .max_by(|a, b| {
                 // More bytes wins; on equal bytes the *lower* id must
                 // compare greater, hence the reversed id comparison.
-                a.bytes
-                    .partial_cmp(&b.bytes)
+                let (wa, wb) = (self.dag.edge(a.edge).bytes, self.dag.edge(b.edge).bytes);
+                wa.partial_cmp(&wb)
                     .expect("edge weights are finite")
                     .then_with(|| b.task.index().cmp(&a.task.index()))
             })

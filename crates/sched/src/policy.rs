@@ -315,7 +315,7 @@ fn decide_delta(params: &DeltaParams, view: &MapView<'_, '_>, task: TaskId) -> M
             continue;
         }
         let d = np.abs_diff(k);
-        let bytes = a.bytes;
+        let bytes = view.dag().edge(a.edge).bytes;
         let better = match chosen {
             None => true,
             Some((bd, bb, bp)) => {

@@ -405,6 +405,7 @@ fn read_line_capped<T: Deserialize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn round_trip_request(req: Request) {
         let line = serde_json::to_string(&req).unwrap();
@@ -596,5 +597,104 @@ mod tests {
             read_line_capped::<Request>(&mut &line[..], line.len()).unwrap(),
             Some(Request::Shutdown)
         );
+    }
+
+    /// One valid line for each request shape, newline included.
+    fn fuzz_seeds() -> Vec<(Request, Vec<u8>)> {
+        let requests = [
+            Request::Submit {
+                client: "ci".into(),
+                format: SpecFormat::Toml,
+                spec: "name = \"fuzz\"\n[[strategies]]\nkind = \"hcpa\"\n".into(),
+            },
+            Request::Submit {
+                client: "é \\ \"q\"".into(),
+                format: SpecFormat::Json,
+                spec: "{\"name\":\"fuzz\",\"seeds\":[1,2]}\t".into(),
+            },
+            Request::Status {
+                campaign: Some("0123456789abcdef".into()),
+                stale_ms: 5_000,
+            },
+            Request::Status {
+                campaign: None,
+                stale_ms: 30_000,
+            },
+            Request::Results {
+                campaign: "abc".into(),
+            },
+            Request::Cancel {
+                campaign: "abc".into(),
+            },
+            Request::Metrics,
+            Request::Shutdown,
+        ];
+        requests
+            .into_iter()
+            .map(|req| {
+                let mut line = Vec::new();
+                write_line(&mut line, &req).unwrap();
+                (req, line)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+
+        /// A valid request line cut at any byte, with one byte set to any
+        /// value (so invalid UTF-8 and stray newlines too), or carrying a
+        /// field nested up to thousands of arrays deep, reads as `Ok` or as
+        /// an `InvalidData`/`UnexpectedEof` error on the 2 MiB connection
+        /// stack — never a panic. A cut reads back the request once only
+        /// the newline is gone, nothing at byte 0, and an error in between;
+        /// every request read back from a cut or a nest is the original.
+        #[test]
+        fn damaged_request_lines_read_as_ok_or_err(
+            which in 0usize..8,
+            at in 0.0f64..1.0,
+            kind in 0u32..3,
+            value in 0u32..256,
+            depth in 1usize..4000,
+        ) {
+            let (req, line) = fuzz_seeds().swap_remove(which);
+            let k = (at * line.len() as f64) as usize;
+            let damaged = match kind {
+                0 => line[..k].to_vec(),
+                1 => {
+                    let mut damaged = line.clone();
+                    damaged[k] = value as u8;
+                    damaged
+                }
+                _ => {
+                    // `{"x":[[…]],` + the rest of the object.
+                    let mut damaged = b"{\"x\":".to_vec();
+                    damaged.extend(std::iter::repeat_n(b'[', depth));
+                    damaged.extend(std::iter::repeat_n(b']', depth));
+                    damaged.push(b',');
+                    damaged.extend_from_slice(&line[1..]);
+                    damaged
+                }
+            };
+            let read = on_connection_stack(move || read_line::<Request>(&mut &damaged[..]));
+            match read {
+                Ok(None) if kind == 0 => prop_assert_eq!(k, 0),
+                Ok(Some(back)) if kind != 1 => {
+                    prop_assert_eq!(back, req);
+                    prop_assert!(kind == 2 || k >= line.len() - 1);
+                }
+                Ok(_) => prop_assert!(kind == 1),
+                Err(e) => {
+                    prop_assert!(
+                        matches!(
+                            e.kind(),
+                            std::io::ErrorKind::InvalidData | std::io::ErrorKind::UnexpectedEof
+                        ),
+                        "kind {kind} at byte {k}: {e}"
+                    );
+                    prop_assert!(kind != 0 || (k > 0 && k < line.len() - 1));
+                }
+            }
+        }
     }
 }
